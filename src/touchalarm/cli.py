@@ -88,8 +88,11 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
 def _write_atomic(path: str, blob: bytes) -> None:
     target = Path(path)
     tmp = target.with_name(target.name + ".partial")
-    tmp.write_bytes(blob)
-    os.replace(tmp, target)
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful rename
 
 
 def _emit(blob: bytes, out: str | None) -> None:
@@ -201,6 +204,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (design.DesignError, QuantityError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except Exception as exc:  # last resort: exit 1 is reserved for errata found
+        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

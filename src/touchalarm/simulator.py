@@ -9,7 +9,10 @@ band with one deterministic generator per run.
 Sampling conventions (shared with the tests' analytic oracle):
 
 - trigger windows are closed-left half-open-right [start, end)
-- a relay gap blanks the supply on (event_time, event_time + delay]
+- a relay gap blanks the supply on (event_time, event_time + delay]; a
+  zero-length gap (delay 0) blanks nothing and resets nothing
+- without a battery the supply is also down on (mains_fail, mains_restore];
+  an outage that is never restored lasts to the end of the scenario
 - the modulator phase restarts whenever sounding switches on; within a
   cycle the position is fmod(t - onset, period), high while < t1
 - the carrier square restarts at each modulator edge, sign from
@@ -18,6 +21,7 @@ Sampling conventions (shared with the tests' analytic oracle):
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -125,10 +129,8 @@ class SimConfig:
     sample_rate: int = 16000
     switchover_delay: float = 0.010
     battery_present: bool = True
-    mains_present_initially: bool = True
     ideal_pair: tuple[float, float] | None = None  # None selects the control-pin model
     retrigger: str = "level_sensitive"
-    rng_seed: int = 0
 
     def validate(self) -> None:
         if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
@@ -190,9 +192,15 @@ def _paired_touches(scenario: Scenario) -> list[tuple[float, float | None]]:
     return pairs
 
 
-def _merge_value_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _merge_spans(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Union of (a, b] spans as sorted, disjoint, non-touching spans.
+
+    Empty spans (b <= a) blank nothing and are dropped.
+    """
     merged: list[list[float]] = []
-    for a, b in sorted(intervals):
+    for a, b in sorted(spans):
+        if b <= a:
+            continue
         if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
         else:
@@ -231,7 +239,7 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
         TraceEvent(event.time, f"event {event.kind}") for event in scenario.events
     ]
 
-    # --- trigger windows ---------------------------------------------------
+    # --- trigger windows [start, end) ----------------------------------------
     windows: list[list] = []  # [start, end, cause]
     for start, end in _paired_touches(scenario):
         if config.retrigger == "one_shot":
@@ -255,93 +263,52 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
         if end <= scenario.duration:
             log.append(TraceEvent(end, f"trigger low ({cause})"))
 
-    # --- supply ------------------------------------------------------------
+    # --- supply-off spans (a, b] ----------------------------------------------
+    # Relay gaps plus, without a battery, each outage; an outage that is
+    # never restored lasts past the end of the scenario.
     mains_events = [e for e in scenario.events if e.kind in ("mains_fail", "mains_restore")]
-    delay = config.switchover_delay
-    gaps = [(e.time, e.time + delay) for e in mains_events]
-
-    # mains state just after each event; index 0 = before any event
-    mains_states = [config.mains_present_initially]
-    for event in mains_events:
-        mains_states.append(event.kind == "mains_restore")
-    toggle_times = [e.time for e in mains_events]
-
-    def _mains_present_after(t: float) -> bool:
-        state = config.mains_present_initially
-        for event in mains_events:
-            if event.time <= t:
-                state = event.kind == "mains_restore"
-        return state
-
-    def _supply_after(t: float) -> bool:
-        if not (_mains_present_after(t) or config.battery_present):
-            return False
-        return not any(a <= t < b for a, b in gaps)
-
-    event_kind_at = {e.time: e.kind for e in mains_events}
-    supply_state = config.mains_present_initially or config.battery_present
-    for boundary in sorted({t for gap in gaps for t in gap}):
-        state = _supply_after(boundary)
-        if state == supply_state:
-            continue
-        supply_state = state
-        if state:
-            log.append(TraceEvent(boundary, "supply on (switchover complete)"))
-        else:
-            kind = event_kind_at.get(boundary)
-            if kind == "mains_fail":
-                what = "supply off (mains failed)" if config.battery_present \
-                    else "supply off (mains failed, no battery)"
-            else:
-                what = "supply off (mains restored, relay switching)"
-            log.append(TraceEvent(boundary, what))
-
-    # Supply-off spans as (a, b] value pairs: relay gaps plus, without a
-    # battery, the whole outage.
-    off_spans = list(gaps)
+    spans = [(e.time, e.time + config.switchover_delay) for e in mains_events]
     if not config.battery_present:
-        pending_fail = None
-        if not config.mains_present_initially:
-            pending_fail = 0.0
-        for event in mains_events:
-            if event.kind == "mains_fail":
-                pending_fail = event.time
-            elif pending_fail is not None:
-                off_spans.append((pending_fail, event.time))
-                pending_fail = None
-        if pending_fail is not None:
-            off_spans.append((pending_fail, scenario.duration))
-    off_spans = _merge_value_intervals(off_spans)
+        fails = [e.time for e in mains_events if e.kind == "mains_fail"]
+        restores = [e.time for e in mains_events if e.kind == "mains_restore"]
+        spans += zip(fails, restores + [math.inf])
+    off_spans = _merge_spans(spans)
 
-    # --- sounding segments (modulator phase references) ---------------------
+    last_mains_kind = {e.time: e.kind for e in mains_events}
+    for a, b in off_spans:
+        if last_mains_kind[a] == "mains_fail":
+            what = "supply off (mains failed)" if config.battery_present \
+                else "supply off (mains failed, no battery)"
+        else:
+            what = "supply off (mains restored, relay switching)"
+        log.append(TraceEvent(a, what))
+        log.append(TraceEvent(b, "supply on (switchover complete)"))
+
+    # --- sounding segments (ref, end): each window minus the off spans -------
+    # ref is the modulator phase reference: the window start or a span end.
+    span_ends = [b for _a, b in off_spans]
     segments: list[tuple[float, float]] = []
     for window_start, window_end, _cause in windows:
         cursor = window_start
-        done = False
-        for a, b in off_spans:
-            if b <= cursor:
-                continue
-            if a >= window_end:
+        for a, b in off_spans[bisect.bisect_right(span_ends, window_start):]:
+            if a >= window_end or cursor >= window_end:
                 break
             if a >= cursor:
-                segments.append((cursor, min(a, window_end)))
-            cursor = max(cursor, b)
-            if cursor >= window_end:
-                done = True
-                break
-        if not done and cursor < window_end:
+                segments.append((cursor, a))
+            cursor = b
+        if cursor < window_end:
             segments.append((cursor, window_end))
 
+    window_starts = {w[0] for w in windows}
+    window_ends = {w[1] for w in windows}
     for ref, end in segments:
         if ref > scenario.duration:
             continue
-        cause = "alarm onset" if any(ref == w[0] for w in windows) else "supply restored"
+        cause = "alarm onset" if ref in window_starts else "supply restored"
         log.append(TraceEvent(ref, f"siren on ({cause}, modulator phase reset)"))
         if end <= scenario.duration:
-            ended_by_window = any(end == w[1] for w in windows)
-            log.append(TraceEvent(
-                end, "siren off (window closed)" if ended_by_window else "siren off (supply lost)"
-            ))
+            why = "window closed" if end in window_ends else "supply lost"
+            log.append(TraceEvent(end, f"siren off ({why})"))
         state_high = True
         toggle = ref
         while True:
@@ -354,20 +321,23 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     log.sort(key=lambda entry: entry.time)
     log = [entry for entry in log if entry.time <= scenario.duration]
 
-    # --- sampled channels ----------------------------------------------------
+    # --- sampled channels: one slice per interval -----------------------------
     n = int(round(scenario.duration * config.sample_rate))
     times = np.arange(n, dtype=np.float64) / config.sample_rate
 
+    def first_at_or_after(t: float) -> int:
+        return int(np.searchsorted(times, t, "left"))
+
+    def first_after(t: float) -> int:
+        return int(np.searchsorted(times, t, "right"))
+
     trigger = np.zeros(n, dtype=bool)
     for window_start, window_end, _cause in windows:
-        trigger |= (times >= window_start) & (times < window_end)
+        trigger[first_at_or_after(window_start):first_at_or_after(window_end)] = True
 
-    toggles = np.asarray(toggle_times, dtype=np.float64)
-    state_lut = np.asarray(mains_states, dtype=bool)
-    present = state_lut[np.searchsorted(toggles, times, side="left")]
-    supply = present | config.battery_present
-    for a, b in gaps:
-        supply &= ~((times > a) & (times <= b))
+    supply = np.ones(n, dtype=bool)
+    for a, b in off_spans:
+        supply[first_after(a):first_after(b)] = False
 
     sounding = trigger & supply
 
@@ -375,17 +345,16 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     carrier = np.zeros(n, dtype=np.float64)
     speaker = np.zeros(n, dtype=np.float64)
     for ref, end in segments:
-        mask = sounding & (times >= ref) & (times <= end)
-        if not mask.any():
-            continue
-        position = np.fmod(times[mask] - ref, modulator.period)
+        lo = first_at_or_after(ref)
+        index = lo + np.flatnonzero(sounding[lo:first_after(end)])
+        position = np.fmod(times[index] - ref, modulator.period)
         high = position < modulator.t1
         freq = np.where(high, freq_mod_high, freq_mod_low)
         phase = np.where(high, position, position - modulator.t1)
         parity = np.floor(2.0 * freq * phase) % 2
-        modulator_high[mask] = high
-        carrier[mask] = freq
-        speaker[mask] = amplitude * np.where(parity == 0, 1.0, -1.0)
+        modulator_high[index] = high
+        carrier[index] = freq
+        speaker[index] = amplitude * np.where(parity == 0, 1.0, -1.0)
 
     clipped = tuple(
         (ref, min(end, scenario.duration))

@@ -88,6 +88,16 @@ def parse_quantity(text: str, expected_unit: str) -> Quantity:
     """
     if expected_unit not in UNITS:
         raise QuantityError(f"unknown unit tag {expected_unit!r}")
+    return Quantity(_parse_prefixed(text, expected_unit), expected_unit)
+
+
+def parse_number(text: str) -> float:
+    """Parse a bare number with an optional SI prefix (no unit suffix)."""
+    return _parse_prefixed(text, None)
+
+
+def _parse_prefixed(text: str, expected_unit: str | None) -> float:
+    """``<decimal><SI prefix?>``, plus an optional unit suffix when a unit is expected."""
     s = text.strip()
     m = _NUMBER_RE.match(s)
     if m is None:
@@ -95,7 +105,7 @@ def parse_quantity(text: str, expected_unit: str) -> Quantity:
     value = float(m.group(0))
     rest = s[m.end():]
 
-    if rest:
+    if rest and expected_unit is not None:
         for spelling in _UNIT_SPELLINGS_BY_LENGTH:
             if rest.endswith(spelling):
                 found = _UNIT_SPELLINGS[spelling]
@@ -106,23 +116,6 @@ def parse_quantity(text: str, expected_unit: str) -> Quantity:
                     )
                 rest = rest[: -len(spelling)]
                 break
-    if rest:
-        try:
-            value *= PREFIX_FACTORS[rest]
-        except KeyError:
-            raise QuantityError(f"unknown SI prefix {rest!r} in {text!r}") from None
-
-    return Quantity(value, expected_unit)
-
-
-def parse_number(text: str) -> float:
-    """Parse a bare number with an optional SI prefix (no unit suffix)."""
-    s = text.strip()
-    m = _NUMBER_RE.match(s)
-    if m is None:
-        raise QuantityError(f"malformed number in {text!r}")
-    value = float(m.group(0))
-    rest = s[m.end():]
     if rest:
         try:
             value *= PREFIX_FACTORS[rest]

@@ -132,6 +132,22 @@ class TestSimulate:
         assert main(["simulate", "--scenario", touch_scenario, "--ideal-pair", "470,abc",
                      "--csv", str(tmp_path / "x.csv")]) == 2
 
+    def test_failed_write_leaves_no_partial_file(self, touch_scenario, tmp_path, capsys):
+        target = tmp_path / "siren.wav"
+        target.mkdir()
+        assert main(["simulate", "--scenario", touch_scenario, "--wav", str(target)]) == 3
+        assert "input error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["siren.wav", "touch.scn"]
+
+    def test_unexpected_failure_exits_4_without_traceback(self, tmp_path, capsys):
+        # too many samples for numpy to allocate: not a scenario or usage error
+        scenario = tmp_path / "huge.scn"
+        scenario.write_text("1.0 touch_start\n1.2 touch_end\nduration 1e300\n")
+        assert main(["simulate", "--scenario", str(scenario), "--wav", str(tmp_path / "x.wav")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("computation error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_byte_identical_files_across_runs(self, touch_scenario, tmp_path):
         first = tmp_path / "a.wav"
         second = tmp_path / "b.wav"

@@ -1,6 +1,7 @@
 """Simulation engine against the analytic timeline oracle, plus Monte Carlo."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from touchalarm.simulator import (
     ScenarioEvent,
     SimConfig,
     SimulationError,
+    TraceEvent,
     monte_carlo_timeout,
     parse_scenario,
     run,
@@ -143,6 +145,69 @@ class TestOracleEquivalence:
         )
         assert_matches_oracle(scenario, config)
 
+    @pytest.mark.parametrize("battery", [True, False])
+    def test_zero_switchover_delay(self, battery):
+        # a zero-length relay gap blanks nothing and leaves the modulator phase alone
+        config = SimConfig(sample_rate=2000, switchover_delay=0.0, battery_present=battery)
+        scenario = _scenario(
+            (1.0, "touch_start"), (5.0, "mains_fail"), (7.0, "mains_restore"),
+            (9.0, "mains_fail"), (9.0, "mains_restore"), duration=14.0
+        )
+        trace = assert_matches_oracle(scenario, config)
+        supply_lines = [e for e in trace.events if e.what.startswith("supply")]
+        assert supply_lines == ([] if battery else [
+            TraceEvent(5.0, "supply off (mains failed, no battery)"),
+            TraceEvent(7.0, "supply on (switchover complete)"),
+        ])
+
+
+EVENT_LOG_GOLDEN = Path(__file__).parent / "golden" / "event_log.txt"
+
+# name -> (events, duration, config); rendered at 2 kHz into the golden file.
+EVENT_LOG_CASES = {
+    "level_sensitive_retrigger_extension": (
+        [(1.0, "touch_start"), (1.2, "touch_end"), (5.0, "touch_start"), (5.2, "touch_end")],
+        20.0, SimConfig(sample_rate=2000),
+    ),
+    "one_shot_retrigger_ignored": (
+        [(1.0, "touch_start"), (1.2, "touch_end"), (5.0, "touch_start"), (5.2, "touch_end")],
+        14.0, SimConfig(sample_rate=2000, retrigger="one_shot"),
+    ),
+    "battery_outage_inside_window": (
+        [(1.0, "touch_start"), (1.2, "touch_end"), (5.0, "mains_fail"), (8.0, "mains_restore")],
+        14.0, SimConfig(sample_rate=2000, retrigger="one_shot"),
+    ),
+    "no_battery_outage_restored_inside_window": (
+        [(1.0, "touch_start"), (1.2, "touch_end"), (5.0, "mains_fail"), (7.0, "mains_restore")],
+        14.0, SimConfig(sample_rate=2000, battery_present=False),
+    ),
+    "mains_events_at_touch_start": (
+        [(1.0, "mains_fail"), (1.0, "touch_start"), (1.2, "touch_end"),
+         (13.0, "touch_start"), (13.0, "mains_restore"), (13.2, "touch_end")],
+        26.0, SimConfig(sample_rate=2000, retrigger="one_shot"),
+    ),
+    "mains_events_at_touch_start_no_battery": (
+        [(1.0, "mains_fail"), (1.0, "touch_start"), (1.2, "touch_end"),
+         (13.0, "touch_start"), (13.0, "mains_restore"), (13.2, "touch_end")],
+        26.0, SimConfig(sample_rate=2000, retrigger="one_shot", battery_present=False),
+    ),
+}
+
+
+def render_event_logs() -> str:
+    """Every case's ``Trace.events`` as ``[name]`` blocks of ``repr(time)<TAB>what``."""
+    blocks = []
+    for name, (events, duration, config) in EVENT_LOG_CASES.items():
+        trace = run(SPEC, _scenario(*events, duration=duration), config)
+        lines = [f"[{name}]"] + [f"{e.time!r}\t{e.what}" for e in trace.events]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
+class TestEventLog:
+    def test_golden_event_logs(self):
+        assert render_event_logs() == EVENT_LOG_GOLDEN.read_text(encoding="utf-8")
+
 
 class TestTriggerWindow:
     def test_window_edges_at_16k(self):
@@ -229,6 +294,20 @@ class TestFailover:
         assert off_times[0] > 5.0
         assert off_times[-1] <= 8.0 + 0.010
         assert off.sum() / 16000 == pytest.approx(3.010, abs=2 / 16000)
+
+    def test_unrestored_outage_without_battery_lasts_to_the_end(self):
+        # the window outlives the scenario; the siren must not come back at the end
+        scenario = _scenario(
+            (1.0, "touch_start"), (1.2, "touch_end"), (5.0, "mains_fail"), duration=10.0
+        )
+        config = SimConfig(sample_rate=2000, retrigger="one_shot", battery_present=False)
+        trace = run(SPEC, scenario, config)
+        assert [e for e in trace.events if e.what.startswith("siren")] == [
+            TraceEvent(1.0, "siren on (alarm onset, modulator phase reset)"),
+            TraceEvent(5.0, "siren off (supply lost)"),
+        ]
+        assert trace.sounding_intervals == ((1.0, 5.0),)
+        assert not trace.supply_on[trace.times > 5.0].any()
 
     @given(
         fail=st.floats(min_value=1.5, max_value=9.0),

@@ -288,5 +288,7 @@ class TestQuantityInvariants:
 
     def test_parse_number_prefix(self):
         assert parse_number("2.4056m") == pytest.approx(2.4056e-3, rel=1e-15)
-        with pytest.raises(QuantityError):
-            parse_number("x")
+        assert parse_number(" -1.5k ") == -1500.0
+        for bad in ("x", "470Ω", "2.2mF", "1kk"):
+            with pytest.raises(QuantityError):
+                parse_number(bad)

@@ -69,7 +69,7 @@ def expected_channels(spec, scenario, config):
     delay = config.switchover_delay
 
     def mains_present(t):
-        state = config.mains_present_initially
+        state = True
         for event in mains:
             if event.time < t:
                 state = event.kind == "mains_restore"
@@ -84,9 +84,11 @@ def expected_channels(spec, scenario, config):
         return any(ws <= t < we for ws, we in windows)
 
     # Instants at which sounding can switch on: window starts and relay
-    # gap ends.  The phase reference is the latest one at or before t.
+    # gap ends where the supply is still off (a zero-length gap switches
+    # nothing on).  The phase reference is the latest one at or before t.
     onset_candidates = sorted(
-        [ws for ws, _ in windows] + [e.time + delay for e in mains]
+        [ws for ws, _ in windows]
+        + [e.time + delay for e in mains if not supply_on(e.time + delay)]
     )
 
     def onset_before(t):
