@@ -127,13 +127,14 @@ def cmd_simulate(args) -> int:
         ideal_pair=ideal_pair,
         retrigger="one_shot" if args.one_shot else "level_sensitive",
     )
+    wav_params = None if args.wav is None else export.WavParams(args.sample_rate)
     trace = simulator.run(spec, scenario, config)
 
     outputs = []
     if args.csv is not None:
         outputs.append((args.csv, export.write_csv(trace)))
     if args.wav is not None:
-        outputs.append((args.wav, export.write_wav(trace, export.WavParams(args.sample_rate))))
+        outputs.append((args.wav, export.write_wav(trace, wav_params)))
     for path, blob in outputs:
         _write_atomic(path, blob)
 

@@ -37,6 +37,11 @@ RETRIGGER_MODES = ("level_sensitive", "one_shot")
 # Carlo containment check.
 MEASURED_TIMEOUT_SECONDS = 10.60
 
+# Work budgets for ``run``, checked before anything is allocated: samples
+# per channel (about 70 min at 16 kHz) and modulator-edge log entries.
+MAX_SAMPLES = 2**26
+MAX_LOG_EVENTS = 2**20
+
 
 class ScenarioError(ValueError):
     """Scenario text or event sequence violates the format invariants."""
@@ -232,6 +237,17 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
             f"sample_rate {config.sample_rate} is below the Nyquist bound for "
             f"the {top_carrier:.1f} Hz carrier"
         )
+    if config.sample_rate <= 2.0 * modulator.frequency:
+        raise SimulationError(
+            f"sample_rate {config.sample_rate} is below the Nyquist bound for "
+            f"the {modulator.frequency:.4g} Hz modulator"
+        )
+    requested = scenario.duration * config.sample_rate
+    if requested > MAX_SAMPLES:
+        raise SimulationError(
+            f"{scenario.duration:g} s at {config.sample_rate} Hz needs {requested:.4g} "
+            f"samples, over the limit of {MAX_SAMPLES}"
+        )
     power = design.amplifier_power(spec.vcc, spec.v_be, spec.amp_base_resistance, spec.tr2_hfe)
     amplitude = math.sqrt(power.p_out * spec.speaker_impedance)
 
@@ -299,6 +315,18 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
         if cursor < window_end:
             segments.append((cursor, window_end))
 
+    # Each segment logs at most two modulator edges per period, plus one.
+    edges = sum(
+        2 * (min(end, scenario.duration) - ref) / modulator.period + 1
+        for ref, end in segments
+        if ref <= scenario.duration
+    )
+    if edges > MAX_LOG_EVENTS:
+        raise SimulationError(
+            f"the {modulator.frequency:.4g} Hz modulator needs up to {edges:.4g} log "
+            f"events, over the limit of {MAX_LOG_EVENTS}"
+        )
+
     window_starts = {w[0] for w in windows}
     window_ends = {w[1] for w in windows}
     for ref, end in segments:
@@ -322,7 +350,7 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     log = [entry for entry in log if entry.time <= scenario.duration]
 
     # --- sampled channels: one slice per interval -----------------------------
-    n = int(round(scenario.duration * config.sample_rate))
+    n = int(round(requested))
     times = np.arange(n, dtype=np.float64) / config.sample_rate
 
     def first_at_or_after(t: float) -> int:

@@ -1,7 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism, atomic writes."""
 
+import time
+
 import pytest
 
+from touchalarm import simulator
 from touchalarm.cli import main
 
 TOUCH_SCENARIO = "1.0 touch_start\n1.2 touch_end\nduration 13\n"
@@ -139,14 +142,61 @@ class TestSimulate:
         assert "input error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["siren.wav", "touch.scn"]
 
-    def test_unexpected_failure_exits_4_without_traceback(self, tmp_path, capsys):
-        # too many samples for numpy to allocate: not a scenario or usage error
-        scenario = tmp_path / "huge.scn"
-        scenario.write_text("1.0 touch_start\n1.2 touch_end\nduration 1e300\n")
-        assert main(["simulate", "--scenario", str(scenario), "--wav", str(tmp_path / "x.wav")]) == 4
+    def test_wav_rate_rejected_before_simulating(self, touch_scenario, tmp_path, capsys,
+                                                 monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated although the WAV rate is invalid")
+
+        monkeypatch.setattr(simulator, "run", must_not_run)
+        csv_path, wav_path = tmp_path / "a.csv", tmp_path / "b.wav"
+        assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", "4000",
+                     "--csv", str(csv_path), "--wav", str(wav_path)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: sample_rate must be")
+        assert not csv_path.exists() and not wav_path.exists()
+
+    def test_unexpected_failure_exits_4_without_traceback(self, touch_scenario, tmp_path,
+                                                          capsys, monkeypatch):
+        # not a scenario, input or usage error: the last-resort handler
+        def fail(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(simulator, "run", fail)
+        assert main(["simulate", "--scenario", touch_scenario, "--wav", str(tmp_path / "x.wav")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("computation error:")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == "computation error: MemoryError: cannot allocate\n"
+
+    @pytest.mark.parametrize(
+        "circuit,scenario,rate,reason",
+        [
+            # held touch to the end: 1.6e304 samples, and modulator edges without end
+            (None, "1.0 touch_start\nduration 1e300\n", "16000", "over the limit of 67108864"),
+            (None, "1.0 touch_start\n1.2 touch_end\nduration 1e300\n", "16000",
+             "over the limit of 67108864"),
+            # c6 = 1p puts the modulator at about 32 MHz
+            ("c6 = 1p\n", "1.0 touch_start\nduration 30\n", "16000",
+             "Nyquist bound for the 3.206e+07 Hz modulator"),
+            # a 16 kHz modulator fits 48 kHz sampling but logs about 1.9M edges in 60 s
+            ("c6 = 2n\n", "1.0 touch_start\nduration 60\n", "48000",
+             "over the limit of 1048576"),
+        ],
+        ids=["held-1e300", "released-1e300", "c6-1p", "c6-2n-edges"],
+    )
+    def test_budgets_reject_before_allocating(self, tmp_path, capsys, circuit, scenario, rate,
+                                              reason):
+        scenario_path = tmp_path / "big.scn"
+        scenario_path.write_text(scenario)
+        argv = ["simulate", "--scenario", str(scenario_path), "--sample-rate", rate,
+                "--wav", str(tmp_path / "x.wav")]
+        if circuit is not None:
+            (tmp_path / "fast.circ").write_text(circuit)
+            argv += ["--circuit", str(tmp_path / "fast.circ")]
+        began = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - began < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and reason in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.wav").exists()
 
     def test_byte_identical_files_across_runs(self, touch_scenario, tmp_path):
         first = tmp_path / "a.wav"

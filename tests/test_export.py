@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from touchalarm.design import CircuitSpec, compute_report, verify_reference_values
 from touchalarm.export import (
@@ -43,6 +45,54 @@ def make_trace(n, sample_rate=16000, speaker=None, amplitude=0.0, **channels):
 def alarm_trace(duration=2.0, sample_rate=16000):
     scenario = Scenario((ScenarioEvent(0.0, "touch_start"),), duration)
     return run(SPEC, scenario, SimConfig(sample_rate=sample_rate))
+
+
+def reference_csv(trace):
+    """The per-row CSV writer that the bulk writer replaced: one f-string per row.
+
+    Kept as the byte-for-byte reference for ``write_csv``.
+    """
+    lines = [CSV_HEADER]
+    times = trace.times
+    supply = trace.supply_on
+    trigger = trace.trigger_out
+    modulator = trace.modulator_high
+    carrier = trace.carrier_freq
+    speaker = trace.speaker
+    for i in range(trace.n_samples):
+        lines.append(
+            f"{times[i]:.9f},{int(supply[i])},{int(trigger[i])},{int(modulator[i])},"
+            f"{float(carrier[i])!r},{float(speaker[i])!r}"
+        )
+    lines.append("")  # trailing LF
+    return "\n".join(lines).encode("utf-8")
+
+
+def table_trace(times, carrier=None, speaker=None, seed=0):
+    """Trace with the given times, random booleans and, by default, a few
+    carrier/speaker values including -0.0 and NaN."""
+    times = np.asarray(times, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n = len(times)
+    values = np.array([0.0, -0.0, 477.1, 488.5, np.nan, -6.335, 6.335])
+    if carrier is None:
+        carrier = rng.choice(values, n)
+    if speaker is None:
+        speaker = rng.choice(values, n)
+    flags = rng.integers(0, 2, (3, n)).astype(bool)
+    return Trace(
+        sample_rate=16000,
+        times=times,
+        supply_on=flags[0],
+        trigger_out=flags[1],
+        modulator_high=flags[2],
+        carrier_freq=np.asarray(carrier, dtype=np.float64),
+        speaker=np.asarray(speaker, dtype=np.float64),
+        amplitude=6.335,
+        events=(),
+        alarm_windows=(),
+        sounding_intervals=(),
+    )
 
 
 def parse_wav(blob):
@@ -113,6 +163,80 @@ class TestCsv:
     def test_deterministic(self):
         trace = alarm_trace(duration=0.5)
         assert write_csv(trace) == write_csv(trace)
+
+
+class TestCsvMatchesReference:
+    """The bulk writer against the per-row reference, byte for byte."""
+
+    # two touches around a mains outage, so both retrigger modes differ
+    SCENARIO = Scenario(
+        (ScenarioEvent(0.1, "touch_start"), ScenarioEvent(0.3, "touch_end"),
+         ScenarioEvent(0.5, "mains_fail"), ScenarioEvent(0.9, "mains_restore"),
+         ScenarioEvent(1.2, "touch_start"), ScenarioEvent(1.25, "touch_end")),
+        1.5,
+    )
+
+    @pytest.mark.parametrize("retrigger", ["level_sensitive", "one_shot"])
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, 48000, 8001, 9973])
+    def test_simulated_traces(self, sample_rate, retrigger):
+        trace = run(SPEC, self.SCENARIO,
+                    SimConfig(sample_rate=sample_rate, retrigger=retrigger, battery_present=False))
+        assert trace.sounding_seconds > 0
+        assert write_csv(trace) == reference_csv(trace)
+
+    def test_special_times_and_values(self):
+        times = [-0.0, 0.0, -1.5, np.nan, np.inf, -np.inf, 1e30, 5e-324, 1e-300,
+                 1 / 1024, 2.5e-9, 1.5e-9, 9.9999999995, 4.6e9, 2.0**53 / 1e9, 12.0]
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -6.335]
+        trace = table_trace(times, carrier=special * 2, speaker=special[::-1] * 2)
+        blob = write_csv(trace)
+        assert blob == reference_csv(trace)
+        assert b"\n-0.000000000," in blob
+        assert b"\nnan," in blob and b"\n-inf," in blob
+        assert b"\n1000000000000000019884624838656.000000000," in blob
+
+    @pytest.mark.parametrize("sample_rate", [44100, 9973, 192000])
+    def test_late_times_at_odd_rates(self, sample_rate):
+        # 192000 Hz × 5000 s × 1e9 does not fit in int64
+        times = (5000 * sample_rate + np.arange(100_000)) / sample_rate
+        trace = table_trace(times, seed=sample_rate)
+        assert write_csv(trace) == reference_csv(trace)
+
+    def test_many_distinct_values(self):
+        n = 5000
+        trace = table_trace(np.arange(n) / 7, carrier=np.arange(n)[::-1] * 1.3,
+                            speaker=np.linspace(-6.5, 6.5, n))
+        assert write_csv(trace) == reference_csv(trace)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(), st.integers(0, 10**6).map(lambda i: i / 9973)),
+                st.booleans(), st.booleans(), st.booleans(),
+                st.one_of(st.floats(), st.sampled_from([0.0, 477.1, 488.5])),
+                st.one_of(st.floats(), st.sampled_from([0.0, -6.335, 6.335])),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_small_traces(self, rows):
+        columns = list(zip(*rows)) or [()] * 6
+        times, supply, trigger, modulator, carrier, speaker = (np.array(c) for c in columns)
+        trace = Trace(
+            sample_rate=16000,
+            times=times.astype(np.float64),
+            supply_on=supply.astype(bool),
+            trigger_out=trigger.astype(bool),
+            modulator_high=modulator.astype(bool),
+            carrier_freq=carrier.astype(np.float64),
+            speaker=speaker.astype(np.float64),
+            amplitude=6.335,
+            events=(),
+            alarm_windows=(),
+            sounding_intervals=(),
+        )
+        assert write_csv(trace) == reference_csv(trace)
 
 
 class TestWav:

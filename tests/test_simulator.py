@@ -381,6 +381,24 @@ class TestRunValidation:
         with pytest.raises(SimulationError, match="Nyquist"):
             run(SPEC, Scenario((), 1.0), SimConfig(sample_rate=900))
 
+    def test_modulator_nyquist_bound(self):
+        # c6 = 1p puts the modulator at about 32 MHz
+        with pytest.raises(SimulationError, match="Nyquist bound for the 3.206e\\+07 Hz modulator"):
+            run(CircuitSpec(c6=1e-12), _scenario((1.0, "touch_start"), duration=30.0), SimConfig())
+
+    def test_sample_budget(self, monkeypatch):
+        monkeypatch.setattr("touchalarm.simulator.MAX_SAMPLES", 16000)
+        assert run(SPEC, Scenario((), 1.0), SimConfig()).n_samples == 16000
+        with pytest.raises(SimulationError, match="needs 1.602e\\+04 samples, over the limit of 16000"):
+            run(SPEC, Scenario((), 1.001), SimConfig())
+
+    def test_log_event_budget(self, monkeypatch):
+        monkeypatch.setattr("touchalarm.simulator.MAX_LOG_EVENTS", 10)
+        short = run(SPEC, _scenario((1.0, "touch_start"), duration=6.0), SimConfig())
+        assert 0 < sum(e.what.startswith("modulator") for e in short.events) <= 10
+        with pytest.raises(SimulationError, match="log events, over the limit of 10"):
+            run(SPEC, _scenario((1.0, "touch_start"), duration=9.0), SimConfig())
+
     def test_bad_spec_propagates(self):
         with pytest.raises(DesignError, match="c2"):
             run(CircuitSpec(c2=0.0), Scenario((), 1.0), SimConfig())
