@@ -4,7 +4,7 @@
 events: the relay changeover (with its switchover delay), the one-shot
 trigger window, the two-tone siren and the amplified speaker square wave.
 ``monte_carlo_timeout`` spreads the trigger timing parts over a tolerance
-band with one deterministic generator per run.
+band with one deterministic random stream per run.
 
 Sampling conventions (shared with the tests' analytic oracle):
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,10 @@ MEASURED_TIMEOUT_SECONDS = 10.60
 # per channel (about 70 min at 16 kHz) and modulator-edge log entries.
 MAX_SAMPLES = 2**26
 MAX_LOG_EVENTS = 2**20
+
+# Budget for ``monte_carlo_timeout``: runs per study (32 MiB of samples).
+# It also keeps every run index to one uint32 entropy word.
+MAX_RUNS = 2**22
 
 
 class ScenarioError(ValueError):
@@ -140,6 +145,8 @@ class SimConfig:
     def validate(self) -> None:
         if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
             raise SimulationError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
+        if self.sample_rate > sys.float_info.max:
+            raise SimulationError("sample_rate is too large to convert to a float")
         if not math.isfinite(self.switchover_delay) or self.switchover_delay < 0:
             raise SimulationError(f"switchover_delay must be >= 0, got {self.switchover_delay!r}")
         if self.retrigger not in RETRIGGER_MODES:
@@ -420,18 +427,105 @@ class ToleranceResult:
         return self.min <= target <= self.max
 
 
+# numpy's SeedSequence (pool of four uint32 words) and PCG64 constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+
+# Runs per Monte Carlo block: bounds the temporaries to a few MiB.
+_BLOCK = 2**16
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a·b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step on 128-bit states held as hi/lo uint64 halves."""
+    new_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _default_rng_doubles(seed: int, indices: np.ndarray, count: int) -> list[np.ndarray]:
+    """The first ``count`` ``random()`` doubles of ``default_rng((seed, i))``.
+
+    ``seed`` is a non-negative integer below 2**64 and ``indices`` a uint32
+    array; the result holds one array per draw, one element per index.  Call
+    under ``np.errstate``: the uint32/uint64 arithmetic wraps on purpose.
+    """
+    # SeedSequence entropy: seed words (little-endian, 0 is one word), index.
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(len(indices), w, dtype=np.uint32) for w in words] + [indices]
+    zero = np.zeros(len(indices), dtype=np.uint32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                pool[dst] = mixed ^ (mixed >> 16)
+
+    # generate_state(4, uint64): eight words cycling over the pool.
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    s0, s1, s2, s3 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+
+    # PCG64 seeding: inc = (s2:s3) << 1 | 1; state 0, step, add (s0:s1), step.
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    lo = inc_lo + s1
+    hi, lo = _pcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+
+    doubles = []
+    for _ in range(count):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> 58
+        out = xored >> rot | xored << (-rot & 63)  # XSL-RR output
+        doubles.append((out >> 11) * 2.0**-53)
+    return doubles
+
+
 def monte_carlo_timeout(
     spec: design.CircuitSpec, rel_tolerance: float, runs: int, seed: int
 ) -> ToleranceResult:
     """Sample the trigger timeout with r3 and c2 drawn from a tolerance band.
 
-    Each run draws uniformly from [nominal·(1−tol), nominal·(1+tol)] using a
-    generator seeded from (seed, run index), so results are independent of
-    execution order and parallelism.
+    Run ``i`` draws r3 and then c2 uniformly from
+    [nominal·(1−tol), nominal·(1+tol)], with the same two doubles and the
+    same arithmetic as ``np.random.default_rng((seed, i)).uniform`` followed
+    by ``design.monostable_period(r3, c2, "approx")``, so every sample is
+    bit-identical to a per-run generator loop and independent of execution
+    order.  The generators are not built: numpy's SeedSequence mixing and
+    PCG64 seeding and stepping are computed in uint32/uint64 array
+    arithmetic over blocks of run indices.  Raises ``design.DesignError``
+    when a sample or a summary statistic is not finite.
     """
     spec.validate()
     if not isinstance(runs, int) or runs < 1:
         raise SimulationError(f"runs must be >= 1, got {runs!r}")
+    if runs > MAX_RUNS:
+        raise SimulationError(f"{runs} Monte Carlo runs requested, over the limit of {MAX_RUNS}")
     if not (isinstance(rel_tolerance, (int, float)) and 0.0 < rel_tolerance < 1.0):
         raise SimulationError(f"rel_tolerance must be in (0, 1), got {rel_tolerance!r}")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -439,16 +533,20 @@ def monte_carlo_timeout(
     r3_lo, r3_hi = spec.r3 * (1.0 - rel_tolerance), spec.r3 * (1.0 + rel_tolerance)
     c2_lo, c2_hi = spec.c2 * (1.0 - rel_tolerance), spec.c2 * (1.0 + rel_tolerance)
     samples = np.empty(runs, dtype=np.float64)
-    for index in range(runs):
-        rng = np.random.default_rng((seed, index))
-        r3 = rng.uniform(r3_lo, r3_hi)
-        c2 = rng.uniform(c2_lo, c2_hi)
-        samples[index] = design.monostable_period(r3, c2, "approx")
-    return ToleranceResult(
-        runs=runs,
-        samples=samples,
-        min=float(samples.min()),
-        max=float(samples.max()),
-        mean=float(samples.mean()),
-        stddev=float(samples.std()),
-    )
+    with np.errstate(all="ignore"):
+        for start in range(0, runs, _BLOCK):
+            stop = min(start + _BLOCK, runs)
+            u1, u2 = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32), 2)
+            r3 = r3_lo + (r3_hi - r3_lo) * u1
+            c2 = c2_lo + (c2_hi - c2_lo) * u2
+            if not np.all(r3 > 0):
+                raise design.DesignError("r: must be > 0, got 0.0")
+            samples[start:stop] = 1.1 * r3 * c2
+        stats = [float(samples.min()), float(samples.max()),
+                 float(samples.mean()), float(samples.std())]
+    if not all(math.isfinite(x) for x in stats):
+        raise design.DesignError(
+            "trigger timeout samples overflow: min={:g} max={:g} mean={:g} stddev={:g}".format(*stats)
+        )
+    low, high, mean, stddev = stats
+    return ToleranceResult(runs=runs, samples=samples, min=low, max=high, mean=mean, stddev=stddev)

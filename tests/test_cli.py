@@ -116,6 +116,12 @@ class TestSimulate:
                      "--csv", str(tmp_path / "x.csv")]) == 2
         assert "Nyquist" in capsys.readouterr().err
 
+    def test_huge_sample_rate(self, touch_scenario, tmp_path, capsys):
+        assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", "1" + "0" * 400,
+                     "--csv", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: sample_rate is too large to convert to a float\n"
+
     def test_wav_rate_range(self, touch_scenario, tmp_path):
         # 4 kHz clears Nyquist for the carrier but is below the WAV floor
         assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", "4000",
@@ -261,12 +267,57 @@ class TestVerify:
         assert capsys.readouterr().out == first
 
 
+# Each line was recorded from the per-run generator loop; the first one is
+# the README example.  Seed 2**32 takes two entropy words and -1 masks to
+# 2**64 - 1.
+PINNED_TOLERANCE = [
+    (["--tol", "0.10", "--runs", "10000", "--seed", "42"],
+     "runs=10000 min=9.23057s mean=11.3896s max=13.7267s stddev=933.716ms "
+     "contains_measured=true\n"),
+    (["--circuit", "GENERATED", "--tol", "0.05", "--runs", "3000", "--seed", "7"],
+     "runs=3000 min=7.23696s mean=7.99244s max=8.78188s stddev=331.829ms "
+     "contains_measured=false\n"),
+    (["--tol", "0.2", "--runs", "2000", "--seed", str(2**32)],
+     "runs=2000 min=7.35158s mean=11.384s max=16.1999s stddev=1.88267s "
+     "contains_measured=true\n"),
+    (["--tol", "0.2", "--runs", "2000", "--seed", "-1"],
+     "runs=2000 min=7.32686s mean=11.4308s max=16.2691s stddev=1.86186s "
+     "contains_measured=true\n"),
+]
+
+
 class TestTolerance:
+    @pytest.mark.parametrize("argv, expected", PINNED_TOLERANCE)
+    def test_pinned_output(self, argv, expected, tmp_path, capsys):
+        circuit = tmp_path / "generated.circ"
+        circuit.write_text("r3 = 330k\nc2 = 22u\n")
+        argv = [str(circuit) if arg == "GENERATED" else arg for arg in argv]
+        assert main(["tolerance", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_contains_measured(self, capsys):
         assert main(["tolerance", "--tol", "0.10", "--runs", "10000", "--seed", "42"]) == 0
         out = capsys.readouterr().out
         assert "contains_measured=true" in out
         assert out.startswith("runs=10000 min=")
+
+    def test_run_budget(self, capsys):
+        began = time.perf_counter()
+        assert main(["tolerance", "--runs", str(simulator.MAX_RUNS + 1)]) == 2
+        assert time.perf_counter() - began < 1.0
+        assert capsys.readouterr().err == (
+            "usage error: 4194305 Monte Carlo runs requested, over the limit of 4194304\n"
+        )
+
+    @pytest.mark.parametrize("circuit, stat", [("r3 = 1e308\n", "stddev=inf"),
+                                               ("r3 = 1e160\nc2 = 1e150\n", "max=inf")])
+    def test_overflowing_circuit_is_one_line(self, tmp_path, capsys, circuit, stat):
+        path = tmp_path / "extreme.circ"
+        path.write_text(circuit)
+        assert main(["tolerance", "--circuit", str(path), "--runs", "100"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: trigger timeout samples overflow:") and stat in err
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
 
     def test_tight_band_excludes_measured(self, capsys):
         assert main(["tolerance", "--tol", "0.001", "--runs", "100", "--seed", "42"]) == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import timeline_oracle as oracle
+from touchalarm import design, simulator
 from touchalarm.design import CircuitSpec, DesignError
 from touchalarm.simulator import (
     MEASURED_TIMEOUT_SECONDS,
@@ -417,6 +418,8 @@ class TestRunValidation:
             SimConfig(ideal_pair=(440.0,)).validate()
         with pytest.raises(SimulationError):
             SimConfig(ideal_pair=(440.0, -1.0)).validate()
+        with pytest.raises(SimulationError, match="sample_rate is too large to convert to a float"):
+            SimConfig(sample_rate=10**400).validate()
 
     def test_determinism(self):
         scenario = _scenario(
@@ -428,6 +431,62 @@ class TestRunValidation:
         np.testing.assert_array_equal(first.carrier_freq, second.carrier_freq)
         assert first.events == second.events
         assert first.alarm_windows == second.alarm_windows
+
+
+def reference_samples(spec, rel_tolerance, seed, indices):
+    """The per-run generator loop ``monte_carlo_timeout`` replaces, for the given runs."""
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    r3_lo, r3_hi = spec.r3 * (1.0 - rel_tolerance), spec.r3 * (1.0 + rel_tolerance)
+    c2_lo, c2_hi = spec.c2 * (1.0 - rel_tolerance), spec.c2 * (1.0 + rel_tolerance)
+    samples = np.empty(len(indices), dtype=np.float64)
+    for k, index in enumerate(indices):
+        rng = np.random.default_rng((seed, int(index)))
+        r3 = rng.uniform(r3_lo, r3_hi)
+        c2 = rng.uniform(c2_lo, c2_hi)
+        samples[k] = design.monostable_period(r3, c2, "approx")
+    return samples
+
+
+def assert_bit_identical(actual, expected):
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestMonteCarloMatchesGenerators:
+    """Block computation against one ``default_rng((seed, i))`` per run."""
+
+    # 6 × 17000 = 102000 (seed, index) pairs, over blocks of 4096 runs
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 - 1, -7])
+    def test_bit_identical(self, monkeypatch, seed):
+        monkeypatch.setattr(simulator, "_BLOCK", 4096)
+        result = monte_carlo_timeout(SPEC, 0.10, 17000, seed)
+        assert_bit_identical(result.samples, reference_samples(SPEC, 0.10, seed, range(17000)))
+
+    def test_across_the_default_block_boundary(self):
+        runs = simulator._BLOCK + 40
+        samples = monte_carlo_timeout(SPEC, 0.10, runs, 123).samples
+        edge = range(simulator._BLOCK - 40, runs)
+        assert_bit_identical(samples[edge.start:], reference_samples(SPEC, 0.10, 123, edge))
+
+    @given(
+        r3=st.floats(min_value=1.0, max_value=1e9),
+        c2=st.floats(min_value=1e-12, max_value=1.0),
+        tol=st.floats(min_value=1e-12, max_value=0.99),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        runs=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property(self, r3, c2, tol, seed, runs):
+        spec = CircuitSpec(r3=r3, c2=c2)
+        result = monte_carlo_timeout(spec, tol, runs, seed)
+        assert_bit_identical(result.samples, reference_samples(spec, tol, seed, range(runs)))
+
+    def test_zero_resistor_draw_is_a_design_error(self):
+        # r3·(1 − tol) underflows to 0, so some draws are exactly 0 ohm
+        spec = CircuitSpec(r3=5e-324)
+        with pytest.raises(DesignError, match="r: must be > 0"):
+            reference_samples(spec, 0.9, 0, range(100))
+        with pytest.raises(DesignError, match="r: must be > 0"):
+            monte_carlo_timeout(spec, 0.9, 100, 0)
 
 
 class TestMonteCarlo:
