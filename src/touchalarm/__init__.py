@@ -20,7 +20,7 @@ from .design import (
     trigger_threshold,
     verify_reference_values,
 )
-from .export import WavParams, write_csv, write_report, write_wav
+from .export import write_csv, write_report, write_wav
 from .simulator import (
     Scenario,
     ScenarioError,
@@ -53,7 +53,7 @@ __all__ = [
     "compute_report", "filter_capacitor", "led_resistor", "modulation_voltages",
     "monostable_period", "parse_circuit", "peak_inverse_voltage",
     "trigger_threshold", "verify_reference_values",
-    "WavParams", "write_csv", "write_report", "write_wav",
+    "write_csv", "write_report", "write_wav",
     "Scenario", "ScenarioError", "ScenarioEvent", "SimConfig", "SimulationError",
     "Trace", "monte_carlo_timeout", "parse_scenario", "run",
     "E6", "E12", "E24", "E96", "ESeries", "Quantity", "QuantityError",

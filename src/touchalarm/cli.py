@@ -127,14 +127,16 @@ def cmd_simulate(args) -> int:
         ideal_pair=ideal_pair,
         retrigger="one_shot" if args.one_shot else "level_sensitive",
     )
-    wav_params = None if args.wav is None else export.WavParams(args.sample_rate)
+    config.validate()
+    if args.wav is not None:
+        export.check_wav_rate(config.sample_rate)
     trace = simulator.run(spec, scenario, config)
 
     outputs = []
     if args.csv is not None:
         outputs.append((args.csv, export.write_csv(trace)))
     if args.wav is not None:
-        outputs.append((args.wav, export.write_wav(trace, wav_params)))
+        outputs.append((args.wav, export.write_wav(trace)))
     for path, blob in outputs:
         _write_atomic(path, blob)
 
@@ -154,7 +156,7 @@ def cmd_snap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tolerance is not None and args.tolerance <= 0:
+    if args.tolerance is not None and not args.tolerance > 0:
         raise UsageError("--tolerance must be > 0")
     report = design.compute_report(_load_spec(args.circuit))
     errata = design.verify_reference_values(report, args.tolerance)
@@ -194,10 +196,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (export.ExportError, simulator.SimulationError) as exc:
+    except (UsageError, export.ExportError, simulator.SimulationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (design.CircuitFileError, simulator.ScenarioError, OSError) as exc:

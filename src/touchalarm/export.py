@@ -7,7 +7,6 @@ repeated exports are byte-identical and safe to golden-test.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +26,10 @@ class ExportError(ValueError):
     """Export parameters do not fit the data being written."""
 
 
-@dataclass(frozen=True)
-class WavParams:
-    sample_rate: int
-    channels: int = 1
-    bits_per_sample: int = 16
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.sample_rate, int) or not (
-            _WAV_RATE_RANGE[0] <= self.sample_rate <= _WAV_RATE_RANGE[1]
-        ):
-            raise ExportError(
-                f"sample_rate must be an integer in {_WAV_RATE_RANGE}, got {self.sample_rate!r}"
-            )
-        if self.channels != 1:
-            raise ExportError("only mono output is supported")
-        if self.bits_per_sample != 16:
-            raise ExportError("only 16-bit PCM output is supported")
+def check_wav_rate(rate) -> None:
+    """Raise ExportError unless ``rate`` is an integer WAV sample rate in range."""
+    if not isinstance(rate, int) or not _WAV_RATE_RANGE[0] <= rate <= _WAV_RATE_RANGE[1]:
+        raise ExportError(f"sample_rate must be an integer in {_WAV_RATE_RANGE}, got {rate!r}")
 
 
 def write_csv(trace: Trace) -> bytes:
@@ -163,24 +149,19 @@ def _csv_buffer(trace: Trace) -> np.ndarray:
     return buf
 
 
-def write_wav(trace: Trace, params: WavParams | None = None) -> bytes:
-    """Canonical 44-byte RIFF/WAVE header plus little-endian PCM samples.
+def write_wav(trace: Trace) -> bytes:
+    """Canonical 44-byte RIFF/WAVE header plus mono 16-bit little-endian PCM.
 
-    The speaker amplitude maps to ±WAV_FULL_SCALE; silence stays at 0.
+    The file plays at the trace's own sample rate.  The speaker amplitude
+    maps to ±WAV_FULL_SCALE; silence stays at 0.
     """
-    if params is None:
-        params = WavParams(int(trace.sample_rate))
-    if params.sample_rate != trace.sample_rate:
-        raise ExportError(
-            f"params sample_rate {params.sample_rate} != trace sample_rate {trace.sample_rate}"
-        )
+    check_wav_rate(trace.sample_rate)
     if trace.amplitude > 0:
         scaled = np.rint(WAV_FULL_SCALE * trace.speaker / trace.amplitude)
     else:
         scaled = np.zeros(trace.n_samples)
     data = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
 
-    block_align = params.channels * params.bits_per_sample // 8
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -189,11 +170,11 @@ def write_wav(trace: Trace, params: WavParams | None = None) -> bytes:
         b"fmt ",
         16,  # fmt chunk size
         1,  # PCM
-        params.channels,
-        params.sample_rate,
-        params.sample_rate * block_align,
-        block_align,
-        params.bits_per_sample,
+        1,  # mono
+        trace.sample_rate,
+        2 * trace.sample_rate,  # byte rate
+        2,  # block align
+        16,  # bits per sample
         b"data",
         len(data),
     )

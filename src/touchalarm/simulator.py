@@ -143,10 +143,10 @@ class SimConfig:
     retrigger: str = "level_sensitive"
 
     def validate(self) -> None:
+        if isinstance(self.sample_rate, int) and abs(self.sample_rate) > sys.float_info.max:
+            raise SimulationError("sample_rate is too large to convert to a float")
         if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
             raise SimulationError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        if self.sample_rate > sys.float_info.max:
-            raise SimulationError("sample_rate is too large to convert to a float")
         if not math.isfinite(self.switchover_delay) or self.switchover_delay < 0:
             raise SimulationError(f"switchover_delay must be >= 0, got {self.switchover_delay!r}")
         if self.retrigger not in RETRIGGER_MODES:
@@ -307,25 +307,26 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
         log.append(TraceEvent(a, what))
         log.append(TraceEvent(b, "supply on (switchover complete)"))
 
-    # --- sounding segments (ref, end): each window minus the off spans -------
-    # ref is the modulator phase reference: the window start or a span end.
+    # --- sounding segments (ref, end, on, off): each window minus the off spans
+    # ref is the modulator phase reference: the window start or a span end;
+    # on and off say why the siren starts and stops there.
     span_ends = [b for _a, b in off_spans]
-    segments: list[tuple[float, float]] = []
+    segments: list[tuple[float, float, str, str]] = []
     for window_start, window_end, _cause in windows:
-        cursor = window_start
+        cursor, on = window_start, "alarm onset"
         for a, b in off_spans[bisect.bisect_right(span_ends, window_start):]:
             if a >= window_end or cursor >= window_end:
                 break
             if a >= cursor:
-                segments.append((cursor, a))
-            cursor = b
+                segments.append((cursor, a, on, "supply lost"))
+            cursor, on = b, "supply restored"
         if cursor < window_end:
-            segments.append((cursor, window_end))
+            segments.append((cursor, window_end, on, "window closed"))
 
     # Each segment logs at most two modulator edges per period, plus one.
     edges = sum(
         2 * (min(end, scenario.duration) - ref) / modulator.period + 1
-        for ref, end in segments
+        for ref, end, _on, _off in segments
         if ref <= scenario.duration
     )
     if edges > MAX_LOG_EVENTS:
@@ -334,16 +335,12 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
             f"events, over the limit of {MAX_LOG_EVENTS}"
         )
 
-    window_starts = {w[0] for w in windows}
-    window_ends = {w[1] for w in windows}
-    for ref, end in segments:
+    for ref, end, on, off in segments:
         if ref > scenario.duration:
             continue
-        cause = "alarm onset" if ref in window_starts else "supply restored"
-        log.append(TraceEvent(ref, f"siren on ({cause}, modulator phase reset)"))
+        log.append(TraceEvent(ref, f"siren on ({on}, modulator phase reset)"))
         if end <= scenario.duration:
-            why = "window closed" if end in window_ends else "supply lost"
-            log.append(TraceEvent(end, f"siren off ({why})"))
+            log.append(TraceEvent(end, f"siren off ({off})"))
         state_high = True
         toggle = ref
         while True:
@@ -379,7 +376,7 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     modulator_high = np.zeros(n, dtype=bool)
     carrier = np.zeros(n, dtype=np.float64)
     speaker = np.zeros(n, dtype=np.float64)
-    for ref, end in segments:
+    for ref, end, _on, _off in segments:
         lo = first_at_or_after(ref)
         index = lo + np.flatnonzero(sounding[lo:first_after(end)])
         position = np.fmod(times[index] - ref, modulator.period)
@@ -393,7 +390,7 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
 
     clipped = tuple(
         (ref, min(end, scenario.duration))
-        for ref, end in segments
+        for ref, end, _on, _off in segments
         if ref < scenario.duration
     )
     return Trace(

@@ -117,10 +117,15 @@ class TestSimulate:
         assert "Nyquist" in capsys.readouterr().err
 
     def test_huge_sample_rate(self, touch_scenario, tmp_path, capsys):
-        assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", "1" + "0" * 400,
-                     "--csv", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err == "usage error: sample_rate is too large to convert to a float\n"
+        # both signs get the short reason, whichever outputs are asked for
+        for rate in ["1" + "0" * 400, "-1" + "0" * 400]:
+            for outputs in (["--csv", str(tmp_path / "x.csv")], ["--wav", str(tmp_path / "x.wav")],
+                            ["--csv", str(tmp_path / "x.csv"), "--wav", str(tmp_path / "x.wav")]):
+                assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", rate,
+                             *outputs]) == 2
+                err = capsys.readouterr().err
+                assert err == "usage error: sample_rate is too large to convert to a float\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["touch.scn"]
 
     def test_wav_rate_range(self, touch_scenario, tmp_path):
         # 4 kHz clears Nyquist for the carrier but is below the WAV floor
@@ -254,8 +259,10 @@ class TestVerify:
         assert main(["verify", "--tolerance", "0.95"]) == 0
         assert "ERRATUM" not in capsys.readouterr().out
 
-    def test_bad_tolerance(self):
-        assert main(["verify", "--tolerance", "-0.1"]) == 2
+    def test_bad_tolerance(self, capsys):
+        for tolerance in ("-0.1", "0", "-0", "nan"):
+            assert main(["verify", "--tolerance", tolerance]) == 2
+            assert capsys.readouterr().err == "usage error: --tolerance must be > 0\n"
 
     def test_unreadable_circuit(self):
         assert main(["verify", "--circuit", "/nonexistent.circ"]) == 3

@@ -1,8 +1,9 @@
 """Fuzzing the command line in-process: documented exit codes, no traceback.
 
 Hypothesis drives ``cli.main`` with valid and mutated circuit and scenario
-text and with odd ``--sample-rate``, ``--runs`` and ``--tol`` values.  The
-work budgets are made small so that every example stays quick.
+text and with odd ``--sample-rate``, ``--runs``, ``--tol`` and ``verify
+--tolerance`` values.  The work budgets are made small so that every example
+stays quick.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from touchalarm.cli import main
 
 ODD_NUMBERS = ["0", "-1", "nan", "inf", "1e308", "1e-308", "5e-324", "1e400", "abc", "", "1p",
                "10meg", "4.7k", "2n", "100u", "0x10", "1_000"]
+TOLERANCES = ["nan", "inf", "-0", "0", "1e-300", "0.05"]
 TIMING_KEYS = ["r3", "c2", "r7", "r8", "c4", "r9", "r11", "r12", "c6", "vcc", "v_be", "tr2_hfe"]
 TOGGLE = {"touch": ("touch_start", "touch_end"), "mains": ("mains_fail", "mains_restore")}
 
@@ -76,8 +78,9 @@ def command(draw):
         argv = ["design", *(["CIRCUIT"] if circuit is not None else []),
                 *draw(st.sampled_from([[], ["--format", "kv"]]))]
     elif name == "verify":
+        tolerance = st.one_of(st.sampled_from(TOLERANCES), numbers())
         argv = ["verify", *circuit_args,
-                *draw(st.one_of(st.just([]), numbers().map(lambda t: ["--tolerance", t])))]
+                *draw(st.one_of(st.just([]), tolerance.map(lambda t: ["--tolerance", t])))]
     elif name == "simulate":
         rate = draw(st.one_of(
             st.sampled_from(["2000", "8000", "16000", "44100", "1", "0", "-5", "1e3", "1" + "0" * 400]),

@@ -13,7 +13,7 @@ from touchalarm.export import (
     CSV_HEADER,
     ExportError,
     WAV_FULL_SCALE,
-    WavParams,
+    check_wav_rate,
     write_csv,
     write_report,
     write_wav,
@@ -267,19 +267,15 @@ class TestWav:
         assert set(np.unique(samples)) <= {-WAV_FULL_SCALE, 0, WAV_FULL_SCALE}
         assert WAV_FULL_SCALE in samples
 
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ExportError, match="sample_rate"):
-            write_wav(alarm_trace(duration=0.1), WavParams(44100))
-
-    def test_params_validation(self):
+    def test_rate_range(self):
+        for rate in (4000, 7999, 192001, 16000.0, "16000", None):
+            with pytest.raises(ExportError, match="sample_rate must be an integer in"):
+                check_wav_rate(rate)
         with pytest.raises(ExportError):
-            WavParams(4000)
-        with pytest.raises(ExportError):
-            WavParams(16000, channels=2)
-        with pytest.raises(ExportError):
-            WavParams(16000, bits_per_sample=8)
-        WavParams(8000)
-        WavParams(192000)
+            write_wav(make_trace(3, sample_rate=7999))
+        for rate in (8000, 192000):
+            check_wav_rate(rate)
+            assert parse_wav(write_wav(make_trace(3, sample_rate=rate)))["rate"] == rate
 
     def test_zero_crossing_count_of_steady_tone(self):
         # 1 s of a steady f Hz square has 2f ± 1 sign flips.

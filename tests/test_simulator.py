@@ -209,6 +209,23 @@ class TestEventLog:
     def test_golden_event_logs(self):
         assert render_event_logs() == EVENT_LOG_GOLDEN.read_text(encoding="utf-8")
 
+    def test_siren_off_cause_belongs_to_its_own_segment(self):
+        # The second window opens at 11.374, where the first one closes and
+        # the mains fail: its zero-length segment ends because the supply drops.
+        scenario = _scenario(
+            (0.0, "touch_start"), (0.1, "touch_end"), (TIMEOUT, "touch_start"),
+            (TIMEOUT, "mains_fail"), (12.0, "touch_end"), duration=13.0,
+        )
+        trace = run(SPEC, scenario, SimConfig())
+        siren = [(e.time, e.what) for e in trace.events if e.what.startswith("siren")]
+        assert siren == [
+            (0.0, "siren on (alarm onset, modulator phase reset)"),
+            (TIMEOUT, "siren off (window closed)"),
+            (TIMEOUT, "siren on (alarm onset, modulator phase reset)"),
+            (TIMEOUT, "siren off (supply lost)"),
+            (TIMEOUT + 0.010, "siren on (supply restored, modulator phase reset)"),
+        ]
+
 
 class TestTriggerWindow:
     def test_window_edges_at_16k(self):
