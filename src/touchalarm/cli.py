@@ -132,13 +132,10 @@ def cmd_simulate(args) -> int:
         export.check_wav_rate(config.sample_rate)
     trace = simulator.run(spec, scenario, config)
 
-    outputs = []
     if args.csv is not None:
-        outputs.append((args.csv, export.write_csv(trace)))
+        _write_atomic(args.csv, export.write_csv(trace))
     if args.wav is not None:
-        outputs.append((args.wav, export.write_wav(trace)))
-    for path, blob in outputs:
-        _write_atomic(path, blob)
+        _write_atomic(args.wav, export.write_wav(trace))
 
     sounding = format_quantity(Quantity(trace.sounding_seconds, "second"))
     sys.stdout.write(f"alarm_windows={len(trace.alarm_windows)} sounding={sounding}\n")

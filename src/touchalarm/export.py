@@ -7,11 +7,12 @@ repeated exports are byte-identical and safe to golden-test.
 from __future__ import annotations
 
 import struct
+import sys
 
 import numpy as np
 
 from .design import DesignReport, ErrataReport
-from .simulator import Trace
+from .simulator import Trace, _rate_text
 from .units import Quantity, format_quantity
 
 CSV_HEADER = "t,supply_on,trigger_out,modulator_high,carrier_freq,speaker"
@@ -29,11 +30,11 @@ class ExportError(ValueError):
 def check_wav_rate(rate) -> None:
     """Raise ExportError unless ``rate`` is an integer WAV sample rate in range."""
     if not isinstance(rate, int) or not _WAV_RATE_RANGE[0] <= rate <= _WAV_RATE_RANGE[1]:
-        raise ExportError(f"sample_rate must be an integer in {_WAV_RATE_RANGE}, got {rate!r}")
+        raise ExportError(f"sample_rate must be an integer in {_WAV_RATE_RANGE}, got {_rate_text(rate)}")
 
 
 def write_csv(trace: Trace) -> bytes:
-    """Waveform table: time to 9 decimals, booleans as 0/1, floats as repr.
+    """Waveform table: time ``k / sample_rate`` to 9 decimals, booleans as 0/1, floats as repr.
 
     Each row reads ``f"{t:.9f},{s},{g},{m},{carrier!r},{speaker!r}"``, but
     the file is laid out in one uint8 buffer instead of one string per row:
@@ -42,12 +43,14 @@ def write_csv(trace: Trace) -> bytes:
     - the time cell is written from the integer nanosecond ``rint(t * 1e9)``:
       the fraction's last eight digits as one word from a four-digit table,
       the rest by ``% 10`` passes.  Rows where that could round differently
-      from ``.9f`` (within a few ulps of a half-nanosecond tie, negative,
-      -0.0, non-finite or huge times) are formatted with ``.9f`` one by one;
+      from ``.9f``, within a few ulps of a half-nanosecond tie, are
+      formatted with ``.9f`` one by one;
     - the rest of a row, its form, depends only on the three booleans and
       the bit patterns of carrier and speaker.  Each distinct form is
       formatted once and copied into its rows eight bytes at a time.
     """
+    if not isinstance(trace.sample_rate, int) or not 0 < trace.sample_rate <= sys.float_info.max:
+        raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(trace.sample_rate)}")
     return _csv_buffer(trace).tobytes()
 
 
@@ -59,17 +62,13 @@ def _words(buf: np.ndarray) -> np.ndarray:
 
 def _csv_buffer(trace: Trace) -> np.ndarray:
     header = np.frombuffer((CSV_HEADER + "\n").encode(), np.uint8)
-    times = np.asarray(trace.times, dtype=np.float64)
+    times = trace.times
     n = len(times)
 
     # --- time cells: integer nanoseconds, exact unless near a tie -----------
-    with np.errstate(all="ignore"):
-        scaled = times * 1e9
-        nanos = np.rint(scaled)
-        exact = (
-            (0.5 - np.abs(scaled - nanos) > 4 * np.spacing(scaled))
-            & np.isfinite(times) & ~np.signbit(times) & (scaled < 2.0**62)
-        )
+    scaled = times * 1e9
+    nanos = np.rint(scaled)
+    exact = 0.5 - np.abs(scaled - nanos) > 4 * np.spacing(scaled)
     seconds, fraction = np.divmod(np.where(exact, nanos, 0).astype(np.int64), 10**9)
     del scaled, nanos
     # digits before the point: one more than the powers of ten <= seconds

@@ -134,6 +134,10 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+def _rate_text(x) -> str:  # an int as %g, so a 300-digit rate prints short
+    return f"{x:g}" if isinstance(x, int) and abs(x) <= sys.float_info.max else repr(x)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     sample_rate: int = 16000
@@ -146,7 +150,7 @@ class SimConfig:
         if isinstance(self.sample_rate, int) and abs(self.sample_rate) > sys.float_info.max:
             raise SimulationError("sample_rate is too large to convert to a float")
         if not isinstance(self.sample_rate, int) or self.sample_rate <= 0:
-            raise SimulationError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
+            raise SimulationError(f"sample_rate must be a positive integer, got {_rate_text(self.sample_rate)}")
         if not math.isfinite(self.switchover_delay) or self.switchover_delay < 0:
             raise SimulationError(f"switchover_delay must be >= 0, got {self.switchover_delay!r}")
         if self.retrigger not in RETRIGGER_MODES:
@@ -167,10 +171,9 @@ class TraceEvent:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Sampled node waveforms plus the exact-time event log."""
+    """Sampled node waveforms on the grid ``k / sample_rate``, plus the exact-time event log."""
 
     sample_rate: int
-    times: np.ndarray
     supply_on: np.ndarray
     trigger_out: np.ndarray
     modulator_high: np.ndarray
@@ -182,8 +185,13 @@ class Trace:
     sounding_intervals: tuple[tuple[float, float], ...]
 
     @property
+    def times(self) -> np.ndarray:
+        """The sample grid, ``k / sample_rate`` for k in 0..n_samples-1."""
+        return np.arange(self.n_samples, dtype=np.float64) / self.sample_rate
+
+    @property
     def n_samples(self) -> int:
-        return len(self.times)
+        return len(self.supply_on)
 
     @property
     def sounding_seconds(self) -> float:
@@ -252,7 +260,7 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     requested = scenario.duration * config.sample_rate
     if requested > MAX_SAMPLES:
         raise SimulationError(
-            f"{scenario.duration:g} s at {config.sample_rate} Hz needs {requested:.4g} "
+            f"{scenario.duration:g} s at {config.sample_rate:g} Hz needs {requested:.4g} "
             f"samples, over the limit of {MAX_SAMPLES}"
         )
     power = design.amplifier_power(spec.vcc, spec.v_be, spec.amp_base_resistance, spec.tr2_hfe)
@@ -283,8 +291,7 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
                 windows.append([start, candidate_end, cause])
     for start, end, cause in windows:
         log.append(TraceEvent(start, "trigger high (touch)"))
-        if end <= scenario.duration:
-            log.append(TraceEvent(end, f"trigger low ({cause})"))
+        log.append(TraceEvent(end, f"trigger low ({cause})"))
 
     # --- supply-off spans (a, b] ----------------------------------------------
     # Relay gaps plus, without a battery, each outage; an outage that is
@@ -336,11 +343,8 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
         )
 
     for ref, end, on, off in segments:
-        if ref > scenario.duration:
-            continue
         log.append(TraceEvent(ref, f"siren on ({on}, modulator phase reset)"))
-        if end <= scenario.duration:
-            log.append(TraceEvent(end, f"siren off ({off})"))
+        log.append(TraceEvent(end, f"siren off ({off})"))
         state_high = True
         toggle = ref
         while True:
@@ -395,7 +399,6 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     )
     return Trace(
         sample_rate=config.sample_rate,
-        times=times,
         supply_on=supply,
         trigger_out=trigger,
         modulator_high=modulator_high,

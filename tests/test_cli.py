@@ -125,6 +125,14 @@ class TestSimulate:
                              *outputs]) == 2
                 err = capsys.readouterr().err
                 assert err == "usage error: sample_rate is too large to convert to a float\n"
+        # below the float limit but 301 digits long: still one short line, not an echo
+        for rate in ["1" + "0" * 300, "-1" + "0" * 300]:
+            for outputs in (["--csv", str(tmp_path / "x.csv")], ["--wav", str(tmp_path / "x.wav")]):
+                assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", rate,
+                             *outputs]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("usage error: ") and err.count("\n") == 1
+                assert "e+300" in err and len(err) < 120
         assert sorted(p.name for p in tmp_path.iterdir()) == ["touch.scn"]
 
     def test_wav_rate_range(self, touch_scenario, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -24,12 +25,10 @@ SPEC = CircuitSpec()
 
 
 def make_trace(n, sample_rate=16000, speaker=None, amplitude=0.0, **channels):
-    times = np.arange(n, dtype=np.float64) / sample_rate
     zeros_b = np.zeros(n, dtype=bool)
     zeros_f = np.zeros(n, dtype=np.float64)
     return Trace(
         sample_rate=sample_rate,
-        times=times,
         supply_on=channels.get("supply_on", zeros_b.copy()),
         trigger_out=channels.get("trigger_out", zeros_b.copy()),
         modulator_high=channels.get("modulator_high", zeros_b.copy()),
@@ -68,12 +67,10 @@ def reference_csv(trace):
     return "\n".join(lines).encode("utf-8")
 
 
-def table_trace(times, carrier=None, speaker=None, seed=0):
-    """Trace with the given times, random booleans and, by default, a few
+def table_trace(n, sample_rate=16000, carrier=None, speaker=None, seed=0):
+    """Trace of n samples with random booleans and, by default, a few
     carrier/speaker values including -0.0 and NaN."""
-    times = np.asarray(times, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    n = len(times)
     values = np.array([0.0, -0.0, 477.1, 488.5, np.nan, -6.335, 6.335])
     if carrier is None:
         carrier = rng.choice(values, n)
@@ -81,8 +78,7 @@ def table_trace(times, carrier=None, speaker=None, seed=0):
         speaker = rng.choice(values, n)
     flags = rng.integers(0, 2, (3, n)).astype(bool)
     return Trace(
-        sample_rate=16000,
-        times=times,
+        sample_rate=sample_rate,
         supply_on=flags[0],
         trigger_out=flags[1],
         modulator_high=flags[2],
@@ -185,33 +181,44 @@ class TestCsvMatchesReference:
         assert write_csv(trace) == reference_csv(trace)
 
     def test_special_times_and_values(self):
-        times = [-0.0, 0.0, -1.5, np.nan, np.inf, -np.inf, 1e30, 5e-324, 1e-300,
-                 1 / 1024, 2.5e-9, 1.5e-9, 9.9999999995, 4.6e9, 2.0**53 / 1e9, 12.0]
         special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -6.335]
-        trace = table_trace(times, carrier=special * 2, speaker=special[::-1] * 2)
-        blob = write_csv(trace)
-        assert blob == reference_csv(trace)
-        assert b"\n-0.000000000," in blob
-        assert b"\nnan," in blob and b"\n-inf," in blob
-        assert b"\n1000000000000000019884624838656.000000000," in blob
+        # whole seconds, binary fractions, 2.5 ns and 0.5 ns steps (near-ties), 1e-300
+        for sample_rate in [1, 1024, 4 * 10**8, 2 * 10**9, 10**300]:
+            trace = table_trace(16, sample_rate, carrier=special * 2, speaker=special[::-1] * 2)
+            blob = write_csv(trace)
+            assert blob == reference_csv(trace)
+            assert b",-0.0," in blob and b",nan," in blob and b",1e+300," in blob
+            assert b",-inf\n" in blob
 
     @pytest.mark.parametrize("sample_rate", [44100, 9973, 192000])
     def test_late_times_at_odd_rates(self, sample_rate):
-        # 192000 Hz × 5000 s × 1e9 does not fit in int64
-        times = (5000 * sample_rate + np.arange(100_000)) / sample_rate
-        trace = table_trace(times, seed=sample_rate)
+        class LateTrace(Trace):
+            """The rows of a long run that start 5000 s in."""
+
+            @property
+            def times(self):
+                return (5000 * self.sample_rate + np.arange(self.n_samples)) / self.sample_rate
+
+        trace = LateTrace(**vars(table_trace(100_000, sample_rate, seed=sample_rate)))
         assert write_csv(trace) == reference_csv(trace)
 
     def test_many_distinct_values(self):
         n = 5000
-        trace = table_trace(np.arange(n) / 7, carrier=np.arange(n)[::-1] * 1.3,
+        trace = table_trace(n, sample_rate=7, carrier=np.arange(n)[::-1] * 1.3,
                             speaker=np.linspace(-6.5, 6.5, n))
         assert write_csv(trace) == reference_csv(trace)
 
+    @pytest.mark.parametrize("sample_rate", [0, -1, 16000.0, 10**400])
+    def test_rejects_rates_off_the_grid(self, sample_rate):
+        with pytest.raises(ExportError, match="sample_rate must be a positive integer"):
+            write_csv(make_trace(3, sample_rate=sample_rate))
+
     @given(
+        # 1024 Hz puts every odd row on an exact half-nanosecond tie
+        st.one_of(st.sampled_from([1024, 8001, 9973, 44100]),
+                  st.integers(1, int(sys.float_info.max))),
         st.lists(
             st.tuples(
-                st.one_of(st.floats(), st.integers(0, 10**6).map(lambda i: i / 9973)),
                 st.booleans(), st.booleans(), st.booleans(),
                 st.one_of(st.floats(), st.sampled_from([0.0, 477.1, 488.5])),
                 st.one_of(st.floats(), st.sampled_from([0.0, -6.335, 6.335])),
@@ -220,12 +227,11 @@ class TestCsvMatchesReference:
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_random_small_traces(self, rows):
-        columns = list(zip(*rows)) or [()] * 6
-        times, supply, trigger, modulator, carrier, speaker = (np.array(c) for c in columns)
+    def test_random_small_traces(self, sample_rate, rows):
+        columns = list(zip(*rows)) or [()] * 5
+        supply, trigger, modulator, carrier, speaker = (np.array(c) for c in columns)
         trace = Trace(
-            sample_rate=16000,
-            times=times.astype(np.float64),
+            sample_rate=sample_rate,
             supply_on=supply.astype(bool),
             trigger_out=trigger.astype(bool),
             modulator_high=modulator.astype(bool),

@@ -1,5 +1,6 @@
 """Simulation engine against the analytic timeline oracle, plus Monte Carlo."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from touchalarm.simulator import (
     ScenarioEvent,
     SimConfig,
     SimulationError,
+    Trace,
     TraceEvent,
     monte_carlo_timeout,
     parse_scenario,
@@ -226,6 +228,14 @@ class TestEventLog:
             (TIMEOUT + 0.010, "siren on (supply restored, modulator phase reset)"),
         ]
 
+    def test_segment_after_the_end_is_clipped(self):
+        # The relay gap ends at 10.005, past the end: the sounding segment
+        # it opens is dropped from the log and the intervals alike.
+        scenario = _scenario((1.0, "touch_start"), (9.995, "mains_fail"), duration=10.0)
+        trace = assert_matches_oracle(scenario, SimConfig(sample_rate=2000))
+        assert max(e.time for e in trace.events) <= 10.0
+        assert trace.sounding_intervals == ((1.0, 9.995),)
+
 
 class TestTriggerWindow:
     def test_window_edges_at_16k(self):
@@ -403,6 +413,14 @@ class TestRunValidation:
         # c6 = 1p puts the modulator at about 32 MHz
         with pytest.raises(SimulationError, match="Nyquist bound for the 3.206e\\+07 Hz modulator"):
             run(CircuitSpec(c6=1e-12), _scenario((1.0, "touch_start"), duration=30.0), SimConfig())
+
+    @pytest.mark.parametrize("sample_rate", [2000, 8001, 44100])
+    def test_times_are_the_sample_grid(self, sample_rate):
+        assert "times" not in {f.name for f in dataclasses.fields(Trace)}
+        trace = run(SPEC, _scenario((0.5, "touch_start"), duration=1.5),
+                    SimConfig(sample_rate=sample_rate))
+        expected = np.array([k / sample_rate for k in range(round(1.5 * sample_rate))])
+        assert trace.times.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_sample_budget(self, monkeypatch):
         monkeypatch.setattr("touchalarm.simulator.MAX_SAMPLES", 16000)
