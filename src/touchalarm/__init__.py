@@ -27,10 +27,12 @@ from .simulator import (
     ScenarioEvent,
     SimConfig,
     SimulationError,
+    Timeline,
     Trace,
     monte_carlo_timeout,
     parse_scenario,
     run,
+    timeline,
 )
 from .units import (
     E6,
@@ -55,7 +57,7 @@ __all__ = [
     "trigger_threshold", "verify_reference_values",
     "write_csv", "write_report", "write_wav",
     "Scenario", "ScenarioError", "ScenarioEvent", "SimConfig", "SimulationError",
-    "Trace", "monte_carlo_timeout", "parse_scenario", "run",
+    "Timeline", "Trace", "monte_carlo_timeout", "parse_scenario", "run", "timeline",
     "E6", "E12", "E24", "E96", "ESeries", "Quantity", "QuantityError",
     "format_quantity", "parse_quantity", "snap_preferred",
     "__version__",

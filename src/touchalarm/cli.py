@@ -7,12 +7,16 @@ of the trigger timeout).
 
 Exit codes: 0 success, 1 errata found, 2 usage error, 3 input-file error,
 4 computation error.  Reports and summaries go to stdout, diagnostics to
-stderr; output files are written to a temp name and renamed on success.
+stderr.  Output files are written to temp names and renamed only once all
+of a command's files are complete; ``simulate`` streams its samples into
+them chunk by chunk.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 from pathlib import Path
@@ -85,21 +89,35 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
     return design.parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
-def _write_atomic(path: str, blob: bytes) -> None:
-    target = Path(path)
-    tmp = target.with_name(target.name + ".partial")
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)  # gone already after a successful rename
+@contextlib.contextmanager
+def _atomic_files(paths):
+    """Open a ``.partial`` file for each path; rename them all once the block succeeds.
+
+    A target that is a directory is refused before anything is opened.  Any
+    failure removes every ``.partial`` file and leaves every target alone.
+    """
+    targets = [Path(path) for path in paths]
+    temps = [target.with_name(target.name + ".partial") for target in targets]
+    for target in targets:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    with contextlib.ExitStack() as stack:
+        for tmp in temps:  # gone already after a successful rename
+            stack.callback(tmp.unlink, missing_ok=True)
+        files = [stack.enter_context(open(tmp, "wb")) for tmp in temps]
+        yield files
+        for file in files:
+            file.close()
+        for tmp, target in zip(temps, targets):
+            os.replace(tmp, target)
 
 
 def _emit(blob: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(blob.decode("utf-8"))
     else:
-        _write_atomic(out, blob)
+        with _atomic_files([out]) as (file,):
+            file.write(blob)
 
 
 def cmd_design(args) -> int:
@@ -111,6 +129,9 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     if args.csv is None and args.wav is None:
         raise UsageError("nothing to write: pass --csv and/or --wav")
+    if args.csv is not None and args.wav is not None \
+            and Path(args.csv).resolve() == Path(args.wav).resolve():
+        raise UsageError("--csv and --wav name the same file")
     ideal_pair = None
     if args.ideal_pair is not None:
         parts = args.ideal_pair.split(",")
@@ -130,15 +151,25 @@ def cmd_simulate(args) -> int:
     config.validate()
     if args.wav is not None:
         export.check_wav_rate(config.sample_rate)
-    trace = simulator.run(spec, scenario, config)
+    timeline = simulator.timeline(spec, scenario, config)
 
+    # (path, header, chunk encoder) per requested file
+    outputs = []
     if args.csv is not None:
-        _write_atomic(args.csv, export.write_csv(trace))
+        outputs.append((args.csv, export.csv_header(), export.csv_rows))
     if args.wav is not None:
-        _write_atomic(args.wav, export.write_wav(trace))
+        outputs.append((args.wav, export.wav_header(timeline.sample_rate, timeline.n_samples),
+                        lambda chunk: export.wav_pcm(chunk.speaker, timeline.amplitude)))
+    paths, headers, encoders = zip(*outputs)
+    with _atomic_files(paths) as files:
+        for file, header in zip(files, headers):
+            file.write(header)
+        for chunk in timeline.chunks():
+            for file, encode in zip(files, encoders):
+                file.write(encode(chunk))
 
-    sounding = format_quantity(Quantity(trace.sounding_seconds, "second"))
-    sys.stdout.write(f"alarm_windows={len(trace.alarm_windows)} sounding={sounding}\n")
+    sounding = format_quantity(Quantity(timeline.sounding_seconds, "second"))
+    sys.stdout.write(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n")
     return EXIT_OK
 
 

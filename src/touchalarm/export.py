@@ -1,7 +1,10 @@
 """Bit-exact emitters for traces and reports: CSV, 16-bit PCM WAV, text/kv.
 
 Everything here is a pure function from immutable inputs to bytes, so
-repeated exports are byte-identical and safe to golden-test.
+repeated exports are byte-identical and safe to golden-test.  CSV and WAV
+come as a header plus an encoder per chunk of samples (``csv_rows``,
+``wav_pcm``), so a file can be streamed; ``write_csv`` and ``write_wav``
+encode a whole trace the same way.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import sys
 import numpy as np
 
 from .design import DesignReport, ErrataReport
-from .simulator import Trace, _rate_text
+from .simulator import Chunk, Trace, _rate_text
 from .units import Quantity, format_quantity
 
 CSV_HEADER = "t,supply_on,trigger_out,modulator_high,carrier_freq,speaker"
@@ -34,10 +37,28 @@ def check_wav_rate(rate) -> None:
 
 
 def write_csv(trace: Trace) -> bytes:
-    """Waveform table: time ``k / sample_rate`` to 9 decimals, booleans as 0/1, floats as repr.
+    """The whole CSV file: ``csv_header()`` followed by ``csv_rows(trace)``."""
+    if not isinstance(trace.sample_rate, int) or not 0 < trace.sample_rate <= sys.float_info.max:
+        raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(trace.sample_rate)}")
+    return b"".join((csv_header(), csv_rows(trace)))
 
-    Each row reads ``f"{t:.9f},{s},{g},{m},{carrier!r},{speaker!r}"``, but
-    the file is laid out in one uint8 buffer instead of one string per row:
+
+def csv_header() -> bytes:
+    return (CSV_HEADER + "\n").encode()
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """Little-endian uint64 view of the last axis of ``buf``: item k is bytes k..k+7."""
+    return np.ndarray(buf.shape[:-1] + (buf.shape[-1] - 7,), "<u8", buf,
+                      strides=buf.strides[:-1] + (1,))
+
+
+def csv_rows(chunk: Trace | Chunk) -> np.ndarray:
+    """Waveform rows: time to 9 decimals, booleans as 0/1, floats as repr.
+
+    Each row reads ``f"{t:.9f},{s},{g},{m},{carrier!r},{speaker!r}"`` for
+    ``t`` in ``chunk.times``, but the rows are laid out in one uint8 buffer
+    instead of one string each:
 
     - row offsets come from a cumulative sum of the row lengths;
     - the time cell is written from the integer nanosecond ``rint(t * 1e9)``:
@@ -48,22 +69,14 @@ def write_csv(trace: Trace) -> bytes:
     - the rest of a row, its form, depends only on the three booleans and
       the bit patterns of carrier and speaker.  Each distinct form is
       formatted once and copied into its rows eight bytes at a time.
+
+    Each row depends on its own sample alone, so the rows of consecutive
+    chunks concatenate to the rows of the whole trace.
     """
-    if not isinstance(trace.sample_rate, int) or not 0 < trace.sample_rate <= sys.float_info.max:
-        raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(trace.sample_rate)}")
-    return _csv_buffer(trace).tobytes()
-
-
-def _words(buf: np.ndarray) -> np.ndarray:
-    """Little-endian uint64 view of the last axis of ``buf``: item k is bytes k..k+7."""
-    return np.ndarray(buf.shape[:-1] + (buf.shape[-1] - 7,), "<u8", buf,
-                      strides=buf.strides[:-1] + (1,))
-
-
-def _csv_buffer(trace: Trace) -> np.ndarray:
-    header = np.frombuffer((CSV_HEADER + "\n").encode(), np.uint8)
-    times = trace.times
+    times = chunk.times
     n = len(times)
+    if n == 0:  # the word view below needs at least eight bytes
+        return np.empty(0, np.uint8)
 
     # --- time cells: integer nanoseconds, exact unless near a tie -----------
     scaled = times * 1e9
@@ -79,11 +92,11 @@ def _csv_buffer(trace: Trace) -> np.ndarray:
     time_len[slow] = [len(cell) for cell in slow_cells]
 
     # --- forms: the distinct rests of a row, found among run starts ---------
-    carrier = np.ascontiguousarray(trace.carrier_freq, np.float64).view(np.uint64)
-    speaker = np.ascontiguousarray(trace.speaker, np.float64).view(np.uint64)
-    flags = (np.asarray(trace.supply_on, bool).view(np.uint8) << 2) \
-        | (np.asarray(trace.trigger_out, bool).view(np.uint8) << 1) \
-        | np.asarray(trace.modulator_high, bool).view(np.uint8)
+    carrier = np.ascontiguousarray(chunk.carrier_freq, np.float64).view(np.uint64)
+    speaker = np.ascontiguousarray(chunk.speaker, np.float64).view(np.uint64)
+    flags = (np.asarray(chunk.supply_on, bool).view(np.uint8) << 2) \
+        | (np.asarray(chunk.trigger_out, bool).view(np.uint8) << 1) \
+        | np.asarray(chunk.modulator_high, bool).view(np.uint8)
     run_start = np.ones(n, bool)
     run_start[1:] = (carrier[1:] != carrier[:-1]) | (speaker[1:] != speaker[:-1]) \
         | (flags[1:] != flags[:-1])
@@ -111,9 +124,8 @@ def _csv_buffer(trace: Trace) -> np.ndarray:
 
     # --- layout ---------------------------------------------------------------
     row_len = time_len + row_form_len
-    start = np.cumsum(row_len) - row_len + len(header)
-    buf = np.empty(len(header) + int(row_len.sum()), np.uint8)
-    buf[:len(header)] = header
+    start = np.cumsum(row_len) - row_len
+    buf = np.empty(int(row_len.sum()), np.uint8)
     words = _words(buf)
     del row_len
 
@@ -149,35 +161,40 @@ def _csv_buffer(trace: Trace) -> np.ndarray:
 
 
 def write_wav(trace: Trace) -> bytes:
-    """Canonical 44-byte RIFF/WAVE header plus mono 16-bit little-endian PCM.
+    """The whole WAV file: ``wav_header`` followed by ``wav_pcm`` of the speaker."""
+    header = wav_header(trace.sample_rate, trace.n_samples)
+    return b"".join((header, wav_pcm(trace.speaker, trace.amplitude)))
 
-    The file plays at the trace's own sample rate.  The speaker amplitude
-    maps to ±WAV_FULL_SCALE; silence stays at 0.
-    """
-    check_wav_rate(trace.sample_rate)
-    if trace.amplitude > 0:
-        scaled = np.rint(WAV_FULL_SCALE * trace.speaker / trace.amplitude)
-    else:
-        scaled = np.zeros(trace.n_samples)
-    data = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
 
-    header = struct.pack(
+def wav_header(sample_rate: int, n_samples: int) -> bytes:
+    """Canonical 44-byte RIFF/WAVE header for mono 16-bit PCM at ``sample_rate``."""
+    check_wav_rate(sample_rate)
+    data_size = 2 * n_samples
+    return struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(data),
+        36 + data_size,
         b"WAVE",
         b"fmt ",
         16,  # fmt chunk size
         1,  # PCM
         1,  # mono
-        trace.sample_rate,
-        2 * trace.sample_rate,  # byte rate
+        sample_rate,
+        2 * sample_rate,  # byte rate
         2,  # block align
         16,  # bits per sample
         b"data",
-        len(data),
+        data_size,
     )
-    return header + data
+
+
+def wav_pcm(speaker: np.ndarray, amplitude: float) -> np.ndarray:
+    """Little-endian 16-bit samples: ``amplitude`` maps to ±WAV_FULL_SCALE, silence to 0."""
+    if amplitude > 0:
+        scaled = np.rint(WAV_FULL_SCALE * speaker / amplitude)
+    else:
+        scaled = np.zeros(len(speaker))
+    return np.clip(scaled, -32768, 32767).astype("<i2")
 
 
 def write_report(report: DesignReport | ErrataReport, format: str = "text") -> bytes:

@@ -1,8 +1,10 @@
 """Deterministic behavioral simulation of the alarm system.
 
-``run`` renders sampled node waveforms for a scenario of touch and mains
-events: the relay changeover (with its switchover delay), the one-shot
-trigger window, the two-tone siren and the amplified speaker square wave.
+``timeline`` turns a scenario of touch and mains events into intervals and
+an exact-time event log: the relay changeover (with its switchover delay),
+the trigger windows and the sounding segments of the two-tone siren.
+``Timeline.render`` samples any stretch of it, so long runs stream in
+chunks; ``run`` renders it whole into a ``Trace``.
 ``monte_carlo_timeout`` spreads the trigger timing parts over a tolerance
 band with one deterministic random stream per run.
 
@@ -24,7 +26,10 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +43,13 @@ RETRIGGER_MODES = ("level_sensitive", "one_shot")
 # Carlo containment check.
 MEASURED_TIMEOUT_SECONDS = 10.60
 
-# Work budgets for ``run``, checked before anything is allocated: samples
-# per channel (about 70 min at 16 kHz) and modulator-edge log entries.
+# Work budgets for ``timeline``, checked before anything is allocated:
+# samples per channel (about 70 min at 16 kHz) and modulator-edge log entries.
 MAX_SAMPLES = 2**26
 MAX_LOG_EVENTS = 2**20
+
+# Samples per piece of ``Timeline.chunks``: a few MiB of temporaries.
+CHUNK = 2**16
 
 # Budget for ``monte_carlo_timeout``: runs per study (32 MiB of samples).
 # It also keeps every run index to one uint32 entropy word.
@@ -228,8 +236,108 @@ def _merge_spans(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return [(a, b) for a, b in merged]
 
 
-def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None = None) -> Trace:
-    """Simulate the scenario and return the sampled trace."""
+class Chunk(NamedTuple):
+    """Samples ``i0..i1`` of every channel, at times ``k / sample_rate``."""
+
+    times: np.ndarray
+    supply_on: np.ndarray
+    trigger_out: np.ndarray
+    modulator_high: np.ndarray
+    carrier_freq: np.ndarray
+    speaker: np.ndarray
+
+
+def _overlapping(intervals: tuple, first: float, last: float) -> tuple:
+    """The intervals that may hold a sample time in [first, last].
+
+    ``intervals`` is sorted by its starts (item 0) and by its ends (item 1).
+    """
+    lo = bisect.bisect_left(intervals, first, key=itemgetter(1))
+    return intervals[lo:bisect.bisect_right(intervals, last, key=itemgetter(0))]
+
+
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """A simulated scenario as intervals and an event log, before sampling.
+
+    All three interval lists are sorted and disjoint.  ``render`` samples any
+    stretch of the grid; pieces rendered over any cut points concatenate to
+    exactly ``render(0, n_samples)``.
+    """
+
+    sample_rate: int
+    n_samples: int
+    duration: float
+    alarm_windows: tuple[tuple[float, float], ...]  # trigger high on [start, end)
+    off_spans: tuple[tuple[float, float], ...]  # supply off on (a, b]
+    segments: tuple[tuple[float, float, str, str], ...]  # sounding (ref, end, on, off)
+    events: tuple[TraceEvent, ...]
+    modulator: design.AstableTimes
+    carrier_pair: tuple[float, float]  # (modulator high, modulator low)
+    amplitude: float
+
+    @property
+    def sounding_intervals(self) -> tuple[tuple[float, float], ...]:
+        """Each segment clipped to the scenario; segments past its end dropped."""
+        return tuple(
+            (ref, min(end, self.duration))
+            for ref, end, _on, _off in self.segments
+            if ref < self.duration
+        )
+
+    @property
+    def sounding_seconds(self) -> float:
+        return sum(end - start for start, end in self.sounding_intervals)
+
+    def render(self, i0: int, i1: int) -> Chunk:
+        """The channels for samples ``i0..i1``: one slice per overlapping interval."""
+        times = np.arange(i0, i1, dtype=np.float64) / self.sample_rate
+        n = len(times)
+        supply = np.ones(n, dtype=bool)
+        trigger = np.zeros(n, dtype=bool)
+        modulator_high = np.zeros(n, dtype=bool)
+        carrier = np.zeros(n, dtype=np.float64)
+        speaker = np.zeros(n, dtype=np.float64)
+        if n == 0:
+            return Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+        first, last = float(times[0]), float(times[-1])
+
+        def first_at_or_after(t: float) -> int:
+            return int(np.searchsorted(times, t, "left"))
+
+        def first_after(t: float) -> int:
+            return int(np.searchsorted(times, t, "right"))
+
+        for start, end in _overlapping(self.alarm_windows, first, last):
+            trigger[first_at_or_after(start):first_at_or_after(end)] = True
+        for a, b in _overlapping(self.off_spans, first, last):
+            supply[first_after(a):first_after(b)] = False
+        sounding = trigger & supply
+
+        period, t1 = self.modulator.period, self.modulator.t1
+        freq_mod_high, freq_mod_low = self.carrier_pair
+        for ref, end, _on, _off in _overlapping(self.segments, first, last):
+            lo = first_at_or_after(ref)
+            index = lo + np.flatnonzero(sounding[lo:first_after(end)])
+            position = np.fmod(times[index] - ref, period)
+            high = position < t1
+            freq = np.where(high, freq_mod_high, freq_mod_low)
+            phase = np.where(high, position, position - t1)
+            parity = np.floor(2.0 * freq * phase) % 2
+            modulator_high[index] = high
+            carrier[index] = freq
+            speaker[index] = self.amplitude * np.where(parity == 0, 1.0, -1.0)
+        return Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+
+    def chunks(self) -> Iterator[Chunk]:
+        """``render`` over consecutive pieces of ``CHUNK`` samples."""
+        for i0 in range(0, self.n_samples, CHUNK):
+            yield self.render(i0, min(i0 + CHUNK, self.n_samples))
+
+
+def timeline(spec: design.CircuitSpec, scenario: Scenario,
+             config: SimConfig | None = None) -> Timeline:
+    """Validate the inputs, check the budgets and build the scenario's timeline."""
     if config is None:
         config = SimConfig()
     spec.validate()
@@ -357,57 +465,35 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
     log.sort(key=lambda entry: entry.time)
     log = [entry for entry in log if entry.time <= scenario.duration]
 
-    # --- sampled channels: one slice per interval -----------------------------
-    n = int(round(requested))
-    times = np.arange(n, dtype=np.float64) / config.sample_rate
-
-    def first_at_or_after(t: float) -> int:
-        return int(np.searchsorted(times, t, "left"))
-
-    def first_after(t: float) -> int:
-        return int(np.searchsorted(times, t, "right"))
-
-    trigger = np.zeros(n, dtype=bool)
-    for window_start, window_end, _cause in windows:
-        trigger[first_at_or_after(window_start):first_at_or_after(window_end)] = True
-
-    supply = np.ones(n, dtype=bool)
-    for a, b in off_spans:
-        supply[first_after(a):first_after(b)] = False
-
-    sounding = trigger & supply
-
-    modulator_high = np.zeros(n, dtype=bool)
-    carrier = np.zeros(n, dtype=np.float64)
-    speaker = np.zeros(n, dtype=np.float64)
-    for ref, end, _on, _off in segments:
-        lo = first_at_or_after(ref)
-        index = lo + np.flatnonzero(sounding[lo:first_after(end)])
-        position = np.fmod(times[index] - ref, modulator.period)
-        high = position < modulator.t1
-        freq = np.where(high, freq_mod_high, freq_mod_low)
-        phase = np.where(high, position, position - modulator.t1)
-        parity = np.floor(2.0 * freq * phase) % 2
-        modulator_high[index] = high
-        carrier[index] = freq
-        speaker[index] = amplitude * np.where(parity == 0, 1.0, -1.0)
-
-    clipped = tuple(
-        (ref, min(end, scenario.duration))
-        for ref, end, _on, _off in segments
-        if ref < scenario.duration
-    )
-    return Trace(
+    return Timeline(
         sample_rate=config.sample_rate,
-        supply_on=supply,
-        trigger_out=trigger,
-        modulator_high=modulator_high,
-        carrier_freq=carrier,
-        speaker=speaker,
-        amplitude=amplitude,
-        events=tuple(log),
+        n_samples=int(round(requested)),
+        duration=scenario.duration,
         alarm_windows=tuple((w[0], w[1]) for w in windows),
-        sounding_intervals=clipped,
+        off_spans=tuple(off_spans),
+        segments=tuple(segments),
+        events=tuple(log),
+        modulator=modulator,
+        carrier_pair=(freq_mod_high, freq_mod_low),
+        amplitude=amplitude,
+    )
+
+
+def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None = None) -> Trace:
+    """Simulate the scenario and return the sampled trace."""
+    whole = timeline(spec, scenario, config)
+    chunk = whole.render(0, whole.n_samples)
+    return Trace(
+        sample_rate=whole.sample_rate,
+        supply_on=chunk.supply_on,
+        trigger_out=chunk.trigger_out,
+        modulator_high=chunk.modulator_high,
+        carrier_freq=chunk.carrier_freq,
+        speaker=chunk.speaker,
+        amplitude=whole.amplitude,
+        events=whole.events,
+        alarm_windows=whole.alarm_windows,
+        sounding_intervals=whole.sounding_intervals,
     )
 
 

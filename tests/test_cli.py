@@ -166,7 +166,7 @@ class TestSimulate:
         def must_not_run(*args, **kwargs):
             raise AssertionError("simulated although the WAV rate is invalid")
 
-        monkeypatch.setattr(simulator, "run", must_not_run)
+        monkeypatch.setattr(simulator, "timeline", must_not_run)
         csv_path, wav_path = tmp_path / "a.csv", tmp_path / "b.wav"
         assert main(["simulate", "--scenario", touch_scenario, "--sample-rate", "4000",
                      "--csv", str(csv_path), "--wav", str(wav_path)]) == 2
@@ -179,7 +179,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise MemoryError("cannot allocate")
 
-        monkeypatch.setattr(simulator, "run", fail)
+        monkeypatch.setattr(simulator, "timeline", fail)
         assert main(["simulate", "--scenario", touch_scenario, "--wav", str(tmp_path / "x.wav")]) == 4
         err = capsys.readouterr().err
         assert err == "computation error: MemoryError: cannot allocate\n"

@@ -1,0 +1,182 @@
+"""Streamed `simulate` output: chunk edges change no byte, memory stays bounded,
+and the output files appear all together or not at all."""
+
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from touchalarm import design, export, simulator
+from touchalarm.cli import main
+from touchalarm.export import write_csv, write_wav
+from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, run
+
+# A 1.137 ms trigger timeout and a 3.1 ms modulator period, so windows,
+# relay gaps and modulator edges all fit in a few hundred samples.
+CIRCUIT = "c2 = 4.7n\nc6 = 100n\n"
+SPEC = design.parse_circuit(CIRCUIT)
+SWITCHOVER = 0.001
+
+# 8192 Hz puts a half-nanosecond tie on every 16th CSV time cell.
+RATES = [16000, 44100, 9973, 8001, 8192]
+
+
+def edge_scenario(rate, chunk, battery):
+    """Touches and relay gaps around the first two chunk edges past sample 60.
+
+    The first touch starts half a timeout before edge m1 and ends 40 samples
+    after it; the second starts 60 samples before edge m2 and is held to the
+    end.  Mains fails 4 samples before m2, so its relay gap straddles m2.
+    With a battery mains comes back 60 samples later; without one the outage
+    is never restored.
+    """
+    m1 = chunk * math.ceil(60 / chunk)
+    m2 = m1 + chunk * math.ceil(120 / chunk)
+    half_timeout = math.ceil(design.monostable_period(SPEC.r3, SPEC.c2, "approx") * rate / 2)
+    events = [(m1 - half_timeout, "touch_start"), (m1 + 40, "touch_end"),
+              (m2 - 60, "touch_start"), (m2 - 4, "mains_fail")]
+    if battery:
+        events.append((m2 + 60, "mains_restore"))
+    return Scenario(tuple(ScenarioEvent(k / rate, kind) for k, kind in events),
+                    (m2 + 150) / rate)
+
+
+def scenario_text(scenario):
+    return "".join(f"{e.time!r} {e.kind}\n" for e in scenario.events) \
+        + f"duration {scenario.duration!r}\n"
+
+
+def near_tie_rows(n, rate):
+    scaled = np.arange(n) / rate * 1e9
+    return np.flatnonzero(0.5 - np.abs(scaled - np.rint(scaled)) <= 4 * np.spacing(scaled))
+
+
+class TestChunkEdges:
+    @pytest.mark.parametrize("battery", [True, False])
+    @pytest.mark.parametrize("retrigger", ["level_sensitive", "one_shot"])
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("chunk", [1, 7, 4097])
+    def test_cli_files_match_whole_trace(self, tmp_path, monkeypatch, capsys, chunk, rate,
+                                         retrigger, battery):
+        scenario = edge_scenario(rate, chunk, battery)
+        config = SimConfig(sample_rate=rate, retrigger=retrigger, battery_present=battery,
+                           switchover_delay=SWITCHOVER)
+        trace = run(SPEC, scenario, config)
+        assert trace.sounding_seconds > 0 and not trace.supply_on.all()
+        if rate == 8192 and chunk == 7:  # ties on both sides of some chunk edges
+            ties = near_tie_rows(trace.n_samples, rate)
+            assert {0, chunk - 1} <= set((ties % chunk).tolist())
+
+        (tmp_path / "s.scn").write_text(scenario_text(scenario))
+        (tmp_path / "c.circ").write_text(CIRCUIT)
+        monkeypatch.setattr(simulator, "CHUNK", chunk)
+        # the CLI has no flags for these two; patch the defaults it builds on
+        monkeypatch.setattr(simulator, "SimConfig", functools.partial(
+            SimConfig, battery_present=battery, switchover_delay=SWITCHOVER))
+        argv = ["simulate", "--scenario", str(tmp_path / "s.scn"),
+                "--circuit", str(tmp_path / "c.circ"), "--sample-rate", str(rate),
+                "--csv", str(tmp_path / "t.csv"), "--wav", str(tmp_path / "t.wav")]
+        if retrigger == "one_shot":
+            argv.append("--one-shot")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"alarm_windows={len(trace.alarm_windows)} ")
+        assert (tmp_path / "t.csv").read_bytes() == write_csv(trace)
+        assert (tmp_path / "t.wav").read_bytes() == write_wav(trace)
+
+    @given(
+        rate=st.sampled_from(RATES),
+        retrigger=st.sampled_from(["level_sensitive", "one_shot"]),
+        battery=st.booleans(),
+        chunk=st.sampled_from([1, 7, 64]),
+        cuts=st.lists(st.floats(0, 1), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_render_pieces_concatenate_bit_exactly(self, rate, retrigger, battery, chunk, cuts):
+        config = SimConfig(sample_rate=rate, retrigger=retrigger, battery_present=battery,
+                           switchover_delay=SWITCHOVER)
+        whole = simulator.timeline(SPEC, edge_scenario(rate, chunk, battery), config)
+        n = whole.n_samples
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        pieces = [whole.render(i0, i1) for i0, i1 in zip(bounds, bounds[1:])]
+        for name, full in whole.render(0, n)._asdict().items():
+            joined = np.concatenate([getattr(piece, name) for piece in pieces])
+            assert joined.dtype == full.dtype
+            assert joined.view(np.uint8).tobytes() == full.view(np.uint8).tobytes(), name
+            if full.dtype == np.float64:
+                assert joined.view(np.uint64).tolist() == full.view(np.uint64).tolist()
+
+    def test_empty_render(self):
+        whole = simulator.timeline(SPEC, Scenario((), 0.0), SimConfig())
+        assert whole.n_samples == 0 and list(whole.chunks()) == []
+        assert all(len(channel) == 0 for channel in whole.render(0, 0))
+
+
+def traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_duration(self, tmp_path, capsys):
+        peaks = {}
+        for seconds in (12, 120):
+            (tmp_path / "held.scn").write_text(f"1.0 touch_start\nduration {seconds}\n")
+            peaks[seconds] = traced_peak([
+                "simulate", "--scenario", str(tmp_path / "held.scn"),
+                "--csv", str(tmp_path / "t.csv"), "--wav", str(tmp_path / "t.wav")])
+            assert (tmp_path / "t.wav").stat().st_size == 44 + 2 * seconds * 16000
+        (tmp_path / "t.csv").unlink()  # about 100 MB
+        assert peaks[120] < 32 * 2**20
+        assert peaks[120] <= 1.1 * peaks[12]
+
+
+class TestAllOrNothing:
+    def test_directory_target_creates_neither_file(self, tmp_path, capsys):
+        (tmp_path / "t.scn").write_text("1.0 touch_start\n1.2 touch_end\nduration 3\n")
+        scenario = str(tmp_path / "t.scn")
+        (tmp_path / "t.csv").mkdir()
+        assert main(["simulate", "--scenario", scenario, "--csv", str(tmp_path / "t.csv"),
+                     "--wav", str(tmp_path / "t.wav")]) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.scn"]
+
+        (tmp_path / "t.csv").rmdir()
+        (tmp_path / "t.wav").mkdir()
+        assert main(["simulate", "--scenario", scenario, "--csv", str(tmp_path / "t.csv"),
+                     "--wav", str(tmp_path / "t.wav")]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.scn", "t.wav"]
+
+    def test_one_path_for_both_files_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "t.scn").write_text("1.0 touch_start\nduration 3\n")
+        out = tmp_path / "both"
+        assert main(["simulate", "--scenario", str(tmp_path / "t.scn"), "--csv", str(out),
+                     "--wav", str(tmp_path / "." / "both")]) == 2
+        assert capsys.readouterr().err == "usage error: --csv and --wav name the same file\n"
+        assert not out.exists()
+
+    def test_failure_mid_stream_keeps_old_targets(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "t.scn").write_text("1.0 touch_start\nduration 10\n")  # three chunks
+        for name in ("t.csv", "t.wav"):
+            (tmp_path / name).write_bytes(b"old")
+        calls, wav_pcm = [], export.wav_pcm
+
+        def failing_pcm(speaker, amplitude):
+            calls.append(len(speaker))
+            if len(calls) == 2:
+                raise MemoryError("out of memory in chunk 2")
+            return wav_pcm(speaker, amplitude)
+
+        monkeypatch.setattr(export, "wav_pcm", failing_pcm)
+        assert main(["simulate", "--scenario", str(tmp_path / "t.scn"),
+                     "--csv", str(tmp_path / "t.csv"), "--wav", str(tmp_path / "t.wav")]) == 4
+        assert capsys.readouterr().err == "computation error: MemoryError: out of memory in chunk 2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.scn", "t.wav"]
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t.wav").read_bytes() == b"old"
