@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 errata found, 2 usage error, 3 input-file error,
 4 computation error.  Reports and summaries go to stdout, diagnostics to
 stderr.  Output files are written to temp names and renamed only once all
 of a command's files are complete; ``simulate`` streams its samples into
-them chunk by chunk.
+them chunk by chunk.  ``simulate`` and ``tolerance`` import the
+numpy-backed ``simulator`` and ``export`` when they run; the other commands
+never load numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import math
 import os
 import sys
 from pathlib import Path
 
-from . import design, export, simulator
+from . import design
 from .units import Quantity, QuantityError, format_number, format_quantity, parse_number, snap_preferred
 
 EXIT_OK = 0
@@ -122,11 +125,13 @@ def _emit(blob: bytes, out: str | None) -> None:
 
 def cmd_design(args) -> int:
     report = design.compute_report(_load_spec(args.circuit))
-    _emit(export.write_report(report, args.format), args.out)
+    _emit(design.write_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    from . import export, simulator
+
     if args.csv is None and args.wav is None:
         raise UsageError("nothing to write: pass --csv and/or --wav")
     if args.csv is not None and args.wav is not None \
@@ -186,13 +191,17 @@ def cmd_snap(args) -> int:
 def cmd_verify(args) -> int:
     if args.tolerance is not None and not args.tolerance > 0:
         raise UsageError("--tolerance must be > 0")
+    if args.tolerance == math.inf:
+        raise UsageError("--tolerance must be finite: inf would match every figure")
     report = design.compute_report(_load_spec(args.circuit))
     errata = design.verify_reference_values(report, args.tolerance)
-    sys.stdout.write(export.write_report(errata, "text").decode("utf-8"))
+    sys.stdout.write(design.write_report(errata, "text").decode("utf-8"))
     return EXIT_ERRATA if errata.has_errata else EXIT_OK
 
 
 def cmd_tolerance(args) -> int:
+    from . import simulator
+
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
     if not 0.0 < args.tol < 1.0:
@@ -224,10 +233,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, export.ExportError, simulator.SimulationError) as exc:
+    except (UsageError, design.ExportError, design.SimulationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (design.CircuitFileError, simulator.ScenarioError, OSError) as exc:
+    except (design.CircuitFileError, design.ScenarioError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (design.DesignError, QuantityError) as exc:

@@ -5,7 +5,12 @@ rectification (PIV and filter capacitor), the relay driver base resistor,
 the speaker amplifier power chain, and the control-pin coupling that turns
 the carrier oscillator into a two-tone siren.  ``verify_reference_values``
 audits the computed results against the worked figures quoted in the
-original design write-up and flags the arithmetic slips it contains.
+original design write-up and flags the arithmetic slips it contains, and
+``write_report`` renders either report as text or ``name=value`` lines.
+
+The error classes of ``simulator`` and ``export`` live here too, beside the
+design's own, so the command line maps every error to an exit code without
+importing those numpy-backed modules.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .units import E6, E12, ESeries, Quantity, QuantityError, parse_quantity, snap_preferred
+from .units import E6, E12, ESeries, Quantity, QuantityError, format_quantity, parse_quantity, snap_preferred
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -33,6 +38,18 @@ class DesignError(ValueError):
 
 class CircuitFileError(ValueError):
     """A circuit description file could not be parsed or validated."""
+
+
+class ScenarioError(ValueError):
+    """Scenario text or event sequence violates the format invariants."""
+
+
+class SimulationError(ValueError):
+    """Simulation configuration is unusable (e.g. sample rate too low)."""
+
+
+class ExportError(ValueError):
+    """Export parameters do not fit the data being written."""
 
 
 @dataclass(frozen=True)
@@ -567,8 +584,8 @@ def verify_reference_values(report: DesignReport, tolerance: float | None = None
 
     ``tolerance`` overrides every entry's default gate when given.
     """
-    if tolerance is not None and not 0.0 < tolerance:
-        raise DesignError(f"tolerance: must be > 0, got {tolerance!r}")
+    if tolerance is not None and not 0.0 < tolerance < math.inf:
+        raise DesignError(f"tolerance: must be finite and > 0, got {tolerance!r}")
     entries = []
     for name, claimed, unit, default_tol in REFERENCE_FIGURES:
         if name == "amp_gain":
@@ -583,3 +600,76 @@ def verify_reference_values(report: DesignReport, tolerance: float | None = None
         verdict = "MATCH" if relative_error <= tol else "ERRATUM"
         entries.append(ErrataEntry(name, computed, claimed, unit, verdict, tol))
     return ErrataReport(tuple(entries))
+
+
+# --- text / kv rendering -------------------------------------------------------
+
+
+def write_report(report: DesignReport | ErrataReport, format: str = "text") -> bytes:
+    """Render a report as an aligned text table or stable ``name=value`` lines."""
+    if format not in ("text", "kv"):
+        raise ExportError(f"format must be 'text' or 'kv', got {format!r}")
+    if isinstance(report, DesignReport):
+        text = _design_kv(report) if format == "kv" else _design_text(report)
+    elif isinstance(report, ErrataReport):
+        text = _errata_kv(report) if format == "kv" else _errata_text(report)
+    else:
+        raise ExportError(f"cannot render {type(report).__name__}")
+    return text.encode("utf-8")
+
+
+def _snapped_name(name: str) -> str:
+    return name[: -len("_ideal")] + "_snapped" if name.endswith("_ideal") else name + "_snapped"
+
+
+def _design_kv(report: DesignReport) -> str:
+    lines = []
+    for record in report:
+        lines.append(f"{record.name}={format_quantity(record.ideal_quantity())}")
+        if record.snapped is not None:
+            lines.append(
+                f"{_snapped_name(record.name)}={format_quantity(record.snapped_quantity())}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _design_text(report: DesignReport) -> str:
+    rows = [("quantity", "ideal", "snapped", "formula")]
+    for record in report:
+        snapped = "-" if record.snapped is None else format_quantity(
+            record.snapped_quantity(), digits=6
+        )
+        rows.append(
+            (record.name, format_quantity(record.ideal_quantity(), digits=6),
+             snapped, record.formula)
+        )
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    lines = [
+        f"{name:<{widths[0]}}  {ideal:>{widths[1]}}  {snapped:>{widths[2]}}  {formula}".rstrip()
+        for name, ideal, snapped, formula in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _errata_kv(report: ErrataReport) -> str:
+    if not report.entries:
+        return "no entries\n"
+    return "\n".join(f"{entry.name}={entry.verdict}" for entry in report) + "\n"
+
+
+def _errata_text(report: ErrataReport) -> str:
+    if not report.entries:
+        return "no entries\n"
+    rows = []
+    for entry in report:
+        comparison = (
+            f"{format_quantity(Quantity(entry.computed, entry.unit), digits=6)}"
+            f" vs claimed {format_quantity(Quantity(entry.claimed, entry.unit), digits=6)}"
+        )
+        rows.append((entry.name, comparison, entry.verdict, f"(tol {entry.tolerance * 100:g}%)"))
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    lines = [
+        f"{name:<{widths[0]}}  {comparison:<{widths[1]}}  {verdict:<{widths[2]}}  {tol}"
+        for name, comparison, verdict, tol in rows
+    ]
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Bit-exact emitters for traces and reports: CSV, 16-bit PCM WAV, text/kv.
+"""Bit-exact emitters for traces: CSV and 16-bit PCM WAV.
 
 Everything here is a pure function from immutable inputs to bytes, so
 repeated exports are byte-identical and safe to golden-test.  CSV and WAV
@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .design import DesignReport, ErrataReport
+from .design import ExportError
+from .design import write_report  # only so that bench/run.py --trace 1 can wrap export.write_report
 from .simulator import Chunk, Trace, _rate_text
-from .units import Quantity, format_quantity
 
 CSV_HEADER = "t,supply_on,trigger_out,modulator_high,carrier_freq,speaker"
 
@@ -24,10 +24,6 @@ CSV_HEADER = "t,supply_on,trigger_out,modulator_high,carrier_freq,speaker"
 WAV_FULL_SCALE = 29490
 
 _WAV_RATE_RANGE = (8000, 192000)
-
-
-class ExportError(ValueError):
-    """Export parameters do not fit the data being written."""
 
 
 def check_wav_rate(rate) -> None:
@@ -195,73 +191,3 @@ def wav_pcm(speaker: np.ndarray, amplitude: float) -> np.ndarray:
     else:
         scaled = np.zeros(len(speaker))
     return np.clip(scaled, -32768, 32767).astype("<i2")
-
-
-def write_report(report: DesignReport | ErrataReport, format: str = "text") -> bytes:
-    """Render a report as an aligned text table or stable ``name=value`` lines."""
-    if format not in ("text", "kv"):
-        raise ExportError(f"format must be 'text' or 'kv', got {format!r}")
-    if isinstance(report, DesignReport):
-        text = _design_kv(report) if format == "kv" else _design_text(report)
-    elif isinstance(report, ErrataReport):
-        text = _errata_kv(report) if format == "kv" else _errata_text(report)
-    else:
-        raise ExportError(f"cannot render {type(report).__name__}")
-    return text.encode("utf-8")
-
-
-def _snapped_name(name: str) -> str:
-    return name[: -len("_ideal")] + "_snapped" if name.endswith("_ideal") else name + "_snapped"
-
-
-def _design_kv(report: DesignReport) -> str:
-    lines = []
-    for record in report:
-        lines.append(f"{record.name}={format_quantity(record.ideal_quantity())}")
-        if record.snapped is not None:
-            lines.append(
-                f"{_snapped_name(record.name)}={format_quantity(record.snapped_quantity())}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _design_text(report: DesignReport) -> str:
-    rows = [("quantity", "ideal", "snapped", "formula")]
-    for record in report:
-        snapped = "-" if record.snapped is None else format_quantity(
-            record.snapped_quantity(), digits=6
-        )
-        rows.append(
-            (record.name, format_quantity(record.ideal_quantity(), digits=6),
-             snapped, record.formula)
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    lines = [
-        f"{name:<{widths[0]}}  {ideal:>{widths[1]}}  {snapped:>{widths[2]}}  {formula}".rstrip()
-        for name, ideal, snapped, formula in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _errata_kv(report: ErrataReport) -> str:
-    if not report.entries:
-        return "no entries\n"
-    return "\n".join(f"{entry.name}={entry.verdict}" for entry in report) + "\n"
-
-
-def _errata_text(report: ErrataReport) -> str:
-    if not report.entries:
-        return "no entries\n"
-    rows = []
-    for entry in report:
-        comparison = (
-            f"{format_quantity(Quantity(entry.computed, entry.unit), digits=6)}"
-            f" vs claimed {format_quantity(Quantity(entry.claimed, entry.unit), digits=6)}"
-        )
-        rows.append((entry.name, comparison, entry.verdict, f"(tol {entry.tolerance * 100:g}%)"))
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    lines = [
-        f"{name:<{widths[0]}}  {comparison:<{widths[1]}}  {verdict:<{widths[2]}}  {tol}"
-        for name, comparison, verdict, tol in rows
-    ]
-    return "\n".join(lines) + "\n"

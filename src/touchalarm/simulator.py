@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import design
+from .design import ScenarioError, SimulationError
 
 EVENT_KINDS = ("touch_start", "touch_end", "mains_fail", "mains_restore")
 
@@ -54,14 +55,6 @@ CHUNK = 2**16
 # Budget for ``monte_carlo_timeout``: runs per study (32 MiB of samples).
 # It also keeps every run index to one uint32 entropy word.
 MAX_RUNS = 2**22
-
-
-class ScenarioError(ValueError):
-    """Scenario text or event sequence violates the format invariants."""
-
-
-class SimulationError(ValueError):
-    """Simulation configuration is unusable (e.g. sample rate too low)."""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism, atomic writes."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import touchalarm
 from touchalarm import simulator
 from touchalarm.cli import main
 
@@ -271,6 +276,9 @@ class TestVerify:
         for tolerance in ("-0.1", "0", "-0", "nan"):
             assert main(["verify", "--tolerance", tolerance]) == 2
             assert capsys.readouterr().err == "usage error: --tolerance must be > 0\n"
+        assert main(["verify", "--tolerance", "inf"]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: --tolerance must be finite: inf would match every figure\n"
 
     def test_unreadable_circuit(self):
         assert main(["verify", "--circuit", "/nonexistent.circ"]) == 3
@@ -361,3 +369,37 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["design", "--color"]) == 2
+
+
+def _imported(args):
+    """Exit code and top-level names of the modules a fresh ``python -X importtime args`` loads."""
+    src = str(Path(touchalarm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    names = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+             for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, names
+
+
+class TestNumpyFree:
+    @pytest.mark.parametrize("args, code", [
+        (["-m", "touchalarm", "design"], 0),
+        (["-m", "touchalarm", "design", "--format", "kv"], 0),
+        (["-m", "touchalarm", "verify"], 1),
+        (["-m", "touchalarm", "snap", "4.7k"], 0),
+        (["-c", "import touchalarm, touchalarm.cli"], 0),
+    ], ids=["design", "design-kv", "verify", "snap", "import"])
+    def test_calculator_never_loads_numpy(self, args, code):
+        exit_code, names = _imported(args)
+        assert exit_code == code
+        assert "touchalarm" in names
+        assert "numpy" not in names
+
+    def test_simulate_and_tolerance_load_it_when_they_run(self, touch_scenario, tmp_path):
+        wav = str(tmp_path / "x.wav")
+        for args in (["simulate", "--scenario", touch_scenario, "--wav", wav],
+                     ["tolerance", "--runs", "100"]):
+            exit_code, names = _imported(["-m", "touchalarm", *args])
+            assert exit_code == 0
+            assert "numpy" in names

@@ -468,6 +468,12 @@ class TestVerifyReferenceValues:
         errata = verify_reference_values(compute_report(CircuitSpec()), tolerance=0.95)
         assert not errata.has_errata
 
+    def test_tolerance_must_be_finite_and_positive(self):
+        report = compute_report(CircuitSpec())
+        for tolerance in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(DesignError, match="tolerance: must be finite and > 0"):
+                verify_reference_values(report, tolerance)
+
     def test_match_iff_within_tolerance(self):
         for entry in verify_reference_values(compute_report(CircuitSpec())):
             rel = abs(entry.computed - entry.claimed) / abs(entry.claimed)
