@@ -86,10 +86,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_input(path: str, error: type[ValueError]) -> str:
+    """An input file's text; bytes that are not UTF-8 raise ``error`` (exit 3)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_spec(path: str | None) -> design.CircuitSpec:
     if path is None:
         return design.CircuitSpec()
-    return design.parse_circuit(Path(path).read_text(encoding="utf-8"))
+    return design.parse_circuit(_read_input(path, design.CircuitFileError))
 
 
 @contextlib.contextmanager
@@ -147,7 +155,7 @@ def cmd_simulate(args) -> int:
         except QuantityError as exc:
             raise UsageError(str(exc)) from exc
     spec = _load_spec(args.circuit)
-    scenario = simulator.parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = simulator.parse_scenario(_read_input(args.scenario, design.ScenarioError))
     config = simulator.SimConfig(
         sample_rate=args.sample_rate,
         ideal_pair=ideal_pair,

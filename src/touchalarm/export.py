@@ -186,8 +186,8 @@ def wav_header(sample_rate: int, n_samples: int) -> bytes:
 
 def wav_pcm(speaker: np.ndarray, amplitude: float) -> np.ndarray:
     """Little-endian 16-bit samples: ``amplitude`` maps to ±WAV_FULL_SCALE, silence to 0."""
-    if amplitude > 0:
-        scaled = np.rint(WAV_FULL_SCALE * speaker / amplitude)
-    else:
-        scaled = np.zeros(len(speaker))
-    return np.clip(scaled, -32768, 32767).astype("<i2")
+    if not amplitude > 0:
+        return np.zeros(len(speaker), "<i2")
+    scaled = np.multiply(WAV_FULL_SCALE, speaker, dtype=np.float64)  # never into the caller's array
+    np.rint(np.divide(scaled, amplitude, out=scaled), out=scaled)
+    return np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")

@@ -17,6 +17,7 @@ Sampling conventions (shared with the tests' analytic oracle):
   an outage that is never restored lasts to the end of the scenario
 - the modulator phase restarts whenever sounding switches on; within a
   cycle the position is fmod(t - onset, period), high while < t1
+  (``render`` gets it bit for bit per modulator cycle, not per sample)
 - the carrier square restarts at each modulator edge, sign from
   floor(2·f·phase) parity
 """
@@ -161,7 +162,7 @@ class SimConfig:
                 raise SimulationError("ideal_pair needs exactly two frequencies")
             for f in self.ideal_pair:
                 if not isinstance(f, (int, float)) or not math.isfinite(f) or f <= 0:
-                    raise SimulationError(f"ideal_pair frequencies must be > 0, got {f!r}")
+                    raise SimulationError(f"ideal_pair frequencies must be finite and > 0, got {f!r}")
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,8 @@ class Timeline:
 
     def render(self, i0: int, i1: int) -> Chunk:
         """The channels for samples ``i0..i1``: one slice per overlapping interval."""
-        times = np.arange(i0, i1, dtype=np.float64) / self.sample_rate
+        times = np.arange(i0, i1, dtype=np.float64)
+        np.divide(times, self.sample_rate, out=times)
         n = len(times)
         supply = np.ones(n, dtype=bool)
         trigger = np.zeros(n, dtype=bool)
@@ -305,22 +307,51 @@ class Timeline:
             trigger[first_at_or_after(start):first_at_or_after(end)] = True
         for a, b in _overlapping(self.off_spans, first, last):
             supply[first_after(a):first_after(b)] = False
-        sounding = trigger & supply
 
-        period, t1 = self.modulator.period, self.modulator.t1
+        t1 = self.modulator.t1
         freq_mod_high, freq_mod_low = self.carrier_pair
         for ref, end, _on, _off in _overlapping(self.segments, first, last):
-            lo = first_at_or_after(ref)
-            index = lo + np.flatnonzero(sounding[lo:first_after(end)])
-            position = np.fmod(times[index] - ref, period)
-            high = position < t1
-            freq = np.where(high, freq_mod_high, freq_mod_low)
-            phase = np.where(high, position, position - t1)
-            parity = np.floor(2.0 * freq * phase) % 2
-            modulator_high[index] = high
-            carrier[index] = freq
-            speaker[index] = self.amplitude * np.where(parity == 0, 1.0, -1.0)
+            # Every sample strictly inside (ref, end) sounds; one at ref or end may not.
+            begin, stop = first_at_or_after(ref), first_after(end)
+            if begin < stop and not (trigger[begin] and supply[begin]):
+                begin += 1
+            if begin < stop and not (trigger[stop - 1] and supply[stop - 1]):
+                stop -= 1
+            if begin == stop:
+                continue
+            # In place in the output slices: each fresh temporary costs page faults.
+            out, freq = speaker[begin:stop], carrier[begin:stop]
+            position = self._position(np.subtract(times[begin:stop], ref, out=out))
+            high = np.less(position, t1, out=modulator_high[begin:stop])
+            low = ~high
+            # 2·f·phase, the phase counted from the last modulator edge
+            np.multiply(2.0 * freq_mod_high, position, out=out, where=high)
+            np.multiply(2.0 * freq_mod_low, np.subtract(position, t1, out=out, where=low), out=out, where=low)
+            # floor(2·f·phase)/2 has a fraction of 0.5 where it is odd; 1 - 4·fraction is ±1
+            np.modf(np.multiply(np.floor(out, out=out), 0.5, out=out), out=(out, freq))
+            np.multiply(self.amplitude, np.add(np.multiply(out, -4.0, out=out), 1.0, out=out), out=out)
+            freq.fill(freq_mod_low)
+            np.copyto(freq, freq_mod_high, where=high)
         return Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+
+    def _position(self, elapsed: np.ndarray) -> np.ndarray:
+        """``np.fmod(elapsed, period)`` bit for bit, for increasing ``elapsed >= 0``: cycle k,
+        with ``hi + lo == k·period`` exactly, starts at the first sample ``>= hi``, or ``> hi``
+        where ``hi`` rounded down; in it ``(elapsed - hi) - lo`` is exact (Sterbenz).
+        """
+        period = self.modulator.period
+        ends = elapsed[[0, -1]]
+        k_first, k_last = np.rint((ends - np.fmod(ends, period)) / period)
+        # period's top 26 and low 27 mantissa bits times k are exact (k < 2**25: MAX_SAMPLES, Nyquist)
+        top = (np.float64(period).view(np.uint64) & ~np.uint64(2**27 - 1)).view(np.float64)
+        cycles = np.arange(k_first, k_last + 1)
+        hi = cycles * period
+        lo = (cycles * top - hi) + cycles * (period - top)
+        starts = np.searchsorted(elapsed, np.where(lo > 0, np.nextafter(hi, np.inf), hi))
+        counts = np.diff(np.append(starts, len(elapsed)))
+        elapsed -= np.repeat(hi, counts)
+        elapsed -= np.repeat(lo, counts)
+        return elapsed
 
     def chunks(self) -> Iterator[Chunk]:
         """``render`` over consecutive pieces of ``CHUNK`` samples."""

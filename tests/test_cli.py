@@ -360,6 +360,25 @@ class TestTolerance:
         assert capsys.readouterr().out == first
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("argv", [
+        ["design", "BAD"],
+        ["verify", "--circuit", "BAD"],
+        ["tolerance", "--circuit", "BAD", "--runs", "10"],
+        ["simulate", "--circuit", "BAD", "--scenario", "GOOD", "--wav", "OUT"],
+        ["simulate", "--scenario", "BAD", "--wav", "OUT"],
+    ], ids=["design", "verify", "tolerance", "simulate-circuit", "simulate-scenario"])
+    def test_is_an_input_error(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1 touch_start\n")
+        (tmp_path / "good.scn").write_text(TOUCH_SCENARIO)
+        files = {"BAD": str(bad), "GOOD": str(tmp_path / "good.scn"), "OUT": str(tmp_path / "x.wav")}
+        assert main([files.get(arg, arg) for arg in argv]) == 3
+        assert capsys.readouterr().err == \
+            f"input error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+        assert not (tmp_path / "x.wav").exists()
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2

@@ -1,7 +1,8 @@
 """Fuzzing the command line in-process: documented exit codes, no traceback.
 
 Hypothesis drives ``cli.main`` with valid and mutated circuit and scenario
-text and with odd ``--sample-rate``, ``--runs``, ``--tol`` and ``verify
+text, sometimes saved as UTF-16 rather than UTF-8, and with odd
+``--sample-rate``, ``--ideal-pair``, ``--runs``, ``--tol`` and ``verify
 --tolerance`` values.  The work budgets are made small so that every example
 stays quick.
 """
@@ -89,8 +90,10 @@ def command(draw):
         ))
         outputs = draw(st.sampled_from([["--csv", "OUT/x.csv"], ["--wav", "OUT/x.wav"],
                                         ["--csv", "OUT/x.csv", "--wav", "OUT/x.wav"]]))
-        flags = draw(st.lists(st.sampled_from([["--one-shot"], ["--ideal-pair", "470,490"],
-                                               ["--ideal-pair", "1e9,-1"]]), max_size=2))
+        ideal_pair = st.tuples(numbers(), numbers()).map(lambda pair: ["--ideal-pair", ",".join(pair)])
+        flags = draw(st.lists(st.one_of(st.sampled_from([["--one-shot"], ["--ideal-pair", "470,490"],
+                                                         ["--ideal-pair", "1e9,-1"]]), ideal_pair),
+                              max_size=2))
         argv = ["simulate", "--scenario", "SCENARIO", *circuit_args, "--sample-rate", rate,
                 *outputs, *sum(flags, [])]
     elif name == "tolerance":
@@ -103,19 +106,24 @@ def command(draw):
                 "--seed", str(draw(st.integers(-(2**80), 2**80)))]
     else:
         argv = ["snap", draw(numbers()), "--series", draw(st.sampled_from(["E6", "E12", "E96"]))]
-    return argv, circuit, draw(scenario_text())
+    encodings = draw(st.lists(st.sampled_from(["utf-8", "utf-8", "utf-8", "utf-16"]),
+                              min_size=2, max_size=2))
+    return argv, circuit, draw(scenario_text()), encodings
 
 
 @given(case=command())
 @settings(max_examples=300, deadline=timedelta(seconds=2))
 def test_cli_exits_cleanly(case):
-    argv, circuit, scenario = case
+    argv, circuit, scenario, (circuit_encoding, scenario_encoding) = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "MAX_SAMPLES", 2**18)
         mp.setattr(simulator, "MAX_LOG_EVENTS", 2000)
         mp.setattr(simulator, "MAX_RUNS", 2000)
-        Path(tmp, "c.circ").write_text(circuit or "")
-        Path(tmp, "s.scn").write_text(scenario)
+        Path(tmp, "c.circ").write_text(circuit or "", encoding=circuit_encoding)
+        Path(tmp, "s.scn").write_text(scenario, encoding=scenario_encoding)
+        utf16 = {name for name, encoding in [("CIRCUIT", circuit_encoding),
+                                             ("SCENARIO", scenario_encoding)]
+                 if encoding != "utf-8" and name in argv}
         files = {"CIRCUIT": str(Path(tmp, "c.circ")), "SCENARIO": str(Path(tmp, "s.scn"))}
         argv = [files.get(arg, arg.replace("OUT/", tmp + "/")) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
@@ -126,3 +134,5 @@ def test_cli_exits_cleanly(case):
     assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "verify"), (code, err)
     assert "Traceback" not in err and "Warning" not in err, err
     assert err.count("\n") == (0 if code in (0, 1) else 1), err
+    if utf16:  # refused as an input error, unless a usage error or another input comes first
+        assert code in (2, 3), (code, err)

@@ -15,6 +15,7 @@ from touchalarm.export import (
     ExportError,
     WAV_FULL_SCALE,
     check_wav_rate,
+    wav_pcm,
     write_csv,
     write_report,
     write_wav,
@@ -296,6 +297,22 @@ class TestWav:
     def test_deterministic(self):
         trace = alarm_trace(duration=0.5)
         assert write_wav(trace) == write_wav(trace)
+
+    @pytest.mark.parametrize("amplitude", [6.0, 1e-300, 3e300, 0.0, -1.0, math.nan])
+    def test_pcm_matches_the_plain_expression(self, amplitude):
+        speaker = np.array([6.0, -6.0, 0.0, -0.0, 2.9999, 3.0000001, 1e6, -1e6, 1e-310, -5e-324,
+                            math.inf, -math.inf, 6.0 / 29490 * 0.5, -6.0 / 29490 * 1.5])
+        before = speaker.copy()
+        if amplitude > 0:
+            with np.errstate(over="ignore", under="ignore"):
+                expected = np.clip(np.rint(WAV_FULL_SCALE * speaker / amplitude),
+                                   -32768, 32767).astype("<i2")
+        else:
+            expected = np.zeros(len(speaker), "<i2")
+        with np.errstate(over="ignore", under="ignore"):
+            got = wav_pcm(speaker, amplitude)
+        assert got.dtype == np.dtype("<i2") and got.tobytes() == expected.tobytes()
+        assert speaker.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 
 class TestReports:

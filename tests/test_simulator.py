@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import timeline_oracle as oracle
@@ -453,6 +454,9 @@ class TestRunValidation:
             SimConfig(ideal_pair=(440.0,)).validate()
         with pytest.raises(SimulationError):
             SimConfig(ideal_pair=(440.0, -1.0)).validate()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(SimulationError, match=f"frequencies must be finite and > 0, got {bad}"):
+                SimConfig(ideal_pair=(440.0, bad)).validate()
         with pytest.raises(SimulationError, match="sample_rate is too large to convert to a float"):
             SimConfig(sample_rate=10**400).validate()
 
@@ -466,6 +470,170 @@ class TestRunValidation:
         np.testing.assert_array_equal(first.carrier_freq, second.carrier_freq)
         assert first.events == second.events
         assert first.alarm_windows == second.alarm_windows
+
+
+def reference_channels(whole, i0, i1):
+    """Samples ``i0..i1`` of every channel, the siren computed sample by sample.
+
+    The segment body that ``Timeline.render`` replaced, kept as the
+    bit-for-bit reference for it: each segment's sounding samples are found
+    with ``flatnonzero``, the modulator position is a per-sample ``fmod``, the
+    carrier parity a float ``% 2``, and all of it is scattered back by index.
+    """
+    times = np.arange(i0, i1, dtype=np.float64) / whole.sample_rate
+    n = len(times)
+    supply, trigger = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    for start, end in whole.alarm_windows:
+        trigger[np.searchsorted(times, start, "left"):np.searchsorted(times, end, "left")] = True
+    for a, b in whole.off_spans:
+        supply[np.searchsorted(times, a, "right"):np.searchsorted(times, b, "right")] = False
+    sounding = trigger & supply
+    modulator_high = np.zeros(n, dtype=bool)
+    carrier, speaker = np.zeros(n), np.zeros(n)
+    period, t1 = whole.modulator.period, whole.modulator.t1
+    freq_mod_high, freq_mod_low = whole.carrier_pair
+    for ref, end, _on, _off in whole.segments:
+        lo = int(np.searchsorted(times, ref, "left"))
+        index = lo + np.flatnonzero(sounding[lo:np.searchsorted(times, end, "right")])
+        position = np.fmod(times[index] - ref, period)
+        high = position < t1
+        freq = np.where(high, freq_mod_high, freq_mod_low)
+        phase = np.where(high, position, position - t1)
+        parity = np.floor(2.0 * freq * phase) % 2
+        modulator_high[index] = high
+        carrier[index] = freq
+        speaker[index] = whole.amplitude * np.where(parity == 0, 1.0, -1.0)
+    return simulator.Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+
+
+def assert_channels_match_reference(whole, cuts=()):
+    """``render`` over pieces cut at ``cuts`` equals ``reference_channels``, bit for bit."""
+    n = whole.n_samples
+    bounds = sorted({0, n, *(c for c in cuts if 0 <= c <= n)})
+    pieces = [whole.render(i0, i1) for i0, i1 in zip(bounds, bounds[1:])]
+    expected = reference_channels(whole, 0, n)
+    for name, want in expected._asdict().items():
+        got = np.concatenate([getattr(piece, name) for piece in pieces]) if pieces else want[:0]
+        assert got.dtype == want.dtype, name
+        bits = np.uint64 if want.dtype == np.float64 else np.uint8
+        assert np.array_equal(got.view(bits), want.view(bits)), name
+    return expected
+
+
+# 1.137 ms and 113.7 ms trigger timeouts, both with a 3.1 ms modulator.
+FAST = CircuitSpec(c2=4.7e-9, c6=100e-9)
+MEDIUM = CircuitSpec(c2=470e-9, c6=100e-9)
+CHANNEL_RATES = [16000, 44100, 48000, 8001, 9973]
+TOGGLES = {"touch": ("touch_start", "touch_end"), "mains": ("mains_fail", "mains_restore")}
+
+
+def cycle_starts(chunk):
+    """Samples where a modulator cycle starts inside a sounding stretch."""
+    high, sounding = chunk.modulator_high, chunk.carrier_freq != 0
+    return (1 + np.flatnonzero(high[1:] & ~high[:-1] & sounding[:-1])).tolist()
+
+
+class TestChannelsMatchReference:
+    """``Timeline.render`` against the per-sample ``reference_channels``."""
+
+    @pytest.mark.parametrize("ideal_pair", [None, (470.0, 490.0)])
+    @pytest.mark.parametrize("retrigger", ["level_sensitive", "one_shot"])
+    @pytest.mark.parametrize("rate", CHANNEL_RATES)
+    def test_stock_circuit_with_relay_gaps(self, rate, retrigger, ideal_pair):
+        # Relay gaps at 3.3 s and 7.05 s restart the 1.47 s modulator mid-cycle.
+        scenario = _scenario((1.0, "touch_start"), (1.2, "touch_end"), (3.3, "mains_fail"),
+                             (7.05, "mains_restore"), (12.0, "touch_start"), duration=16.0)
+        for battery in (True, False):
+            config = SimConfig(sample_rate=rate, retrigger=retrigger, ideal_pair=ideal_pair,
+                               battery_present=battery)
+            whole = simulator.timeline(SPEC, scenario, config)
+            cuts = range(0, whole.n_samples, 5 * rate + 17)
+            expected = assert_channels_match_reference(whole, cuts)
+            assert expected.speaker.any() and len(whole.segments) >= 2
+
+    @pytest.mark.parametrize("retrigger", ["level_sensitive", "one_shot"])
+    @pytest.mark.parametrize("rate", CHANNEL_RATES)
+    def test_fast_modulator_cut_at_cycle_starts(self, rate, retrigger):
+        scenario = _scenario((0.01, "touch_start"), (0.05, "mains_fail"), (0.0713, "mains_restore"),
+                             (0.2, "touch_end"), (0.3, "touch_start"), (0.5, "touch_end"),
+                             duration=0.6)
+        config = SimConfig(sample_rate=rate, retrigger=retrigger, switchover_delay=0.0037)
+        whole = simulator.timeline(MEDIUM, scenario, config)
+        starts = cycle_starts(reference_channels(whole, 0, whole.n_samples))
+        assert len(starts) > 10
+        # a chunk edge on a cycle start, and one sample to either side of it
+        for shift in (0, -1, 1):
+            assert_channels_match_reference(whole, [b + shift for b in starts[::3]])
+
+    def test_cycle_start_where_the_rounded_period_multiple_is_a_sample(self):
+        """``k·period`` rounds down onto a sample, which still belongs to cycle k - 1."""
+        rate, k, sample = 16000, 7, 3 * 16000 + 1234
+        elapsed = sample / rate  # the window opens at 0, so this is the sample's elapsed time
+        period = next(p for p in (elapsed / k + ulps * np.spacing(elapsed / k) for ulps in range(-8, 9))
+                      if k * p == elapsed and Fraction(k) * Fraction(p) > Fraction(elapsed))
+        whole = simulator.timeline(SPEC, _scenario((0.0, "touch_start"), duration=4.0),
+                                   SimConfig(sample_rate=rate))
+        t1 = 0.4 * period
+        whole = dataclasses.replace(whole, modulator=design.AstableTimes(
+            t1, period - t1, period, 1.0 / period, t1 / period))
+        for cuts in ([], [sample - 1], [sample + 2]):
+            expected = assert_channels_match_reference(whole, cuts)
+        assert sample not in cycle_starts(expected) and sample + 1 in cycle_starts(expected)
+
+    @given(
+        rate=st.sampled_from(CHANNEL_RATES + [1000, 3]),
+        i0=st.sampled_from([0, 1, 12345, 2**26 - 5000]),
+        n=st.integers(1, 5000),
+        ref=st.sampled_from([0.0, 0.5, 1.0]),
+        tie=st.floats(0, 1),
+        cycles=st.integers(1, 60),
+        ulps=st.integers(-3, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_position_is_fmod(self, rate, i0, n, ref, tie, cycles, ulps):
+        """Periods within a few ulps of ``elapsed / cycles`` for one sample, at the ends
+        or inside, so ``cycles·period`` rounds onto, past or short of that sample."""
+        times = np.arange(i0, i0 + n) / rate
+        elapsed = times - ref * times[0]
+        tie = int(tie * (n - 1))
+        period = elapsed[tie] / cycles
+        for _ in range(abs(ulps)):
+            period = np.nextafter(period, np.inf if ulps > 0 else 0)
+        assume(period > 2.0 / rate)
+        whole = simulator.timeline(SPEC, Scenario((), 0.0), SimConfig())
+        whole = dataclasses.replace(whole, modulator=design.AstableTimes(
+            0.5 * period, 0.5 * period, period, 1.0 / period, 0.5))
+        got = whole._position(elapsed.copy())
+        assert np.array_equal(got.view(np.uint64), np.fmod(elapsed, period).view(np.uint64))
+
+    @given(
+        rate=st.sampled_from(CHANNEL_RATES + [8192, 22050]),
+        marks=st.lists(st.integers(0, 6000), min_size=1, max_size=7).map(sorted),
+        offset=st.sampled_from([0.0, 0.0, 0.25, 0.5, 1e-3]),
+        groups=st.lists(st.sampled_from(sorted(TOGGLES)), min_size=7, max_size=7),
+        tail=st.integers(0, 3000),
+        circuit=st.sampled_from([FAST, MEDIUM, SPEC]),
+        switchover=st.sampled_from([0.0, 0.001, 0.0123, 37]),
+        battery=st.booleans(),
+        ideal_pair=st.sampled_from([None, (470.0, 490.0), (1234.5, 333.25)]),
+        retrigger=st.sampled_from(["level_sensitive", "one_shot"]),
+        cuts=st.lists(st.floats(0, 1), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, rate, marks, offset, groups, tail, circuit, switchover, battery,
+                      ideal_pair, retrigger, cuts):
+        # Events on or just past sample times; a relay gap of 37 samples ends on one.
+        held = {"touch": False, "mains": False}
+        events = []
+        for mark, group in zip(marks, groups):
+            events.append(ScenarioEvent((mark + offset) / rate, TOGGLES[group][held[group]]))
+            held[group] = not held[group]
+        scenario = Scenario(tuple(events), (marks[-1] + offset + tail) / rate)
+        config = SimConfig(sample_rate=rate, battery_present=battery, ideal_pair=ideal_pair,
+                           retrigger=retrigger,
+                           switchover_delay=switchover / rate if switchover == 37 else switchover)
+        whole = simulator.timeline(circuit, scenario, config)
+        assert_channels_match_reference(whole, [int(c * whole.n_samples) for c in cuts])
 
 
 def reference_samples(spec, rel_tolerance, seed, indices):
