@@ -201,6 +201,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--tolerance must be > 0")
     if args.tolerance == math.inf:
         raise UsageError("--tolerance must be finite: inf would match every figure")
+    if args.tolerance is not None and args.tolerance * 100 == math.inf:
+        raise UsageError(f"--tolerance must be finite: {args.tolerance:g} is inf as a percentage")
     report = design.compute_report(_load_spec(args.circuit))
     errata = design.verify_reference_values(report, args.tolerance)
     sys.stdout.write(design.write_report(errata, "text").decode("utf-8"))

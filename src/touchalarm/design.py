@@ -16,7 +16,7 @@ importing those numpy-backed modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .units import E6, E12, ESeries, Quantity, QuantityError, format_quantity, parse_quantity, snap_preferred
 
@@ -52,8 +52,7 @@ class ExportError(ValueError):
     """Export parameters do not fit the data being written."""
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
+class CircuitSpec(NamedTuple):
     """Component roster and electrical assumptions of the alarm circuit.
 
     Defaults reproduce the reference design's stock values.
@@ -100,10 +99,9 @@ class CircuitSpec:
 
     def validate(self) -> None:
         """Raise DesignError naming the first field that violates an invariant."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise DesignError(f"{f.name}: must be a finite number, got {value!r}")
+                raise DesignError(f"{name}: must be a finite number, got {value!r}")
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0:
                 raise DesignError(f"{name}: must be > 0, got {getattr(self, name)!r}")
@@ -201,8 +199,7 @@ def monostable_period(r: float, c: float, model: str = "approx") -> float:
     raise DesignError(f"model: expected 'approx' or 'exact', got {model!r}")
 
 
-@dataclass(frozen=True)
-class AstableTimes:
+class AstableTimes(NamedTuple):
     t1: float
     t2: float
     period: float
@@ -247,8 +244,7 @@ def astable_times_cv(ra: float, rb: float, c: float, vcc: float, v_ctl: float) -
     return AstableTimes(t1, t2, period, 1.0 / period, t1 / period)
 
 
-@dataclass(frozen=True)
-class ModulationVoltages:
+class ModulationVoltages(NamedTuple):
     v_ctl_low: float
     v_ctl_high: float
 
@@ -274,8 +270,7 @@ def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
     return ModulationVoltages(v_ctl_low=node(0.0), v_ctl_high=node(vcc))
 
 
-@dataclass(frozen=True)
-class LedResistor:
+class LedResistor(NamedTuple):
     r_ideal: float
     r_snapped: float
     i_actual: float
@@ -293,8 +288,7 @@ def led_resistor(vcc: float, v_led: float, i_led: float, series: ESeries = E12) 
     return LedResistor(r_ideal, r_snapped, (vcc - v_led) / r_snapped)
 
 
-@dataclass(frozen=True)
-class FilterCapacitor:
+class FilterCapacitor(NamedTuple):
     r_load: float
     c_ideal: float
     c_snapped: float
@@ -318,8 +312,7 @@ def filter_capacitor(
     return FilterCapacitor(r_load, c_ideal, snap_preferred(c_ideal, series, "nearest"))
 
 
-@dataclass(frozen=True)
-class PivCheck:
+class PivCheck(NamedTuple):
     piv: float
     within_rating: bool
 
@@ -333,8 +326,7 @@ def peak_inverse_voltage(v_secondary: float, diode_rating: float) -> PivCheck:
     return PivCheck(piv, piv < diode_rating)
 
 
-@dataclass(frozen=True)
-class BaseResistor:
+class BaseResistor(NamedTuple):
     i_c: float
     i_b: float
     r_ideal: float
@@ -371,8 +363,7 @@ def base_resistor(
     return BaseResistor(i_c, i_b, r_ideal, snap_preferred(r_ideal, series, "nearest"))
 
 
-@dataclass(frozen=True)
-class AmplifierPower:
+class AmplifierPower(NamedTuple):
     i_b: float
     i_e: float
     p_out: float
@@ -403,8 +394,7 @@ def trigger_threshold(vcc: float) -> float:
 # --- aggregate report -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignRecord:
+class DesignRecord(NamedTuple):
     name: str
     ideal: float
     unit: str
@@ -418,17 +408,17 @@ class DesignRecord:
         return None if self.snapped is None else Quantity(self.snapped, self.unit)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(tuple):
     """Every computed sizing/timing quantity, in a fixed order."""
 
-    records: tuple[DesignRecord, ...]
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.records)
+    @property
+    def records(self) -> tuple[DesignRecord, ...]:
+        return tuple(self)
 
     def get(self, name: str) -> DesignRecord:
-        for record in self.records:
+        for record in self:
             if record.name == name:
                 return record
         raise KeyError(name)
@@ -438,7 +428,7 @@ class DesignReport:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(record.name for record in self.records)
+        return tuple(record.name for record in self)
 
 
 def compute_report(spec: CircuitSpec) -> DesignReport:
@@ -514,14 +504,13 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
     records.append(DesignRecord("f_lo_tone", cv_high.frequency, "hertz", "cv(v_ctl_high)"))
     records.append(DesignRecord("f_hi_tone", cv_low.frequency, "hertz", "cv(v_ctl_low)"))
 
-    return DesignReport(tuple(records))
+    return DesignReport(records)
 
 
 # --- audit against the reference write-up's worked figures ----------------------
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
+class ErrataEntry(NamedTuple):
     name: str
     computed: float
     claimed: float
@@ -530,19 +519,19 @@ class ErrataEntry:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class ErrataReport:
-    entries: tuple[ErrataEntry, ...]
+class ErrataReport(tuple):
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.entries)
+    @property
+    def entries(self) -> tuple[ErrataEntry, ...]:
+        return tuple(self)
 
     @property
     def has_errata(self) -> bool:
-        return any(entry.verdict == "ERRATUM" for entry in self.entries)
+        return any(entry.verdict == "ERRATUM" for entry in self)
 
     def get(self, name: str) -> ErrataEntry:
-        for entry in self.entries:
+        for entry in self:
             if entry.name == name:
                 return entry
         raise KeyError(name)
@@ -582,10 +571,11 @@ REFERENCE_FIGURES = (
 def verify_reference_values(report: DesignReport, tolerance: float | None = None) -> ErrataReport:
     """Compare the report against the reference figures entry by entry.
 
-    ``tolerance`` overrides every entry's default gate when given.
+    ``tolerance`` overrides every entry's default gate when given; the
+    report prints it as a percentage, so ``tolerance * 100`` must be finite.
     """
-    if tolerance is not None and not 0.0 < tolerance < math.inf:
-        raise DesignError(f"tolerance: must be finite and > 0, got {tolerance!r}")
+    if tolerance is not None and not 0.0 < tolerance * 100 < math.inf:
+        raise DesignError(f"tolerance: must be finite and > 0 as a percentage, got {tolerance!r}")
     entries = []
     for name, claimed, unit, default_tol in REFERENCE_FIGURES:
         if name == "amp_gain":
@@ -599,7 +589,7 @@ def verify_reference_values(report: DesignReport, tolerance: float | None = None
         relative_error = abs(computed - claimed) / abs(claimed)
         verdict = "MATCH" if relative_error <= tol else "ERRATUM"
         entries.append(ErrataEntry(name, computed, claimed, unit, verdict, tol))
-    return ErrataReport(tuple(entries))
+    return ErrataReport(entries)
 
 
 # --- text / kv rendering -------------------------------------------------------
@@ -652,13 +642,13 @@ def _design_text(report: DesignReport) -> str:
 
 
 def _errata_kv(report: ErrataReport) -> str:
-    if not report.entries:
+    if not report:
         return "no entries\n"
     return "\n".join(f"{entry.name}={entry.verdict}" for entry in report) + "\n"
 
 
 def _errata_text(report: ErrataReport) -> str:
-    if not report.entries:
+    if not report:
         return "no entries\n"
     rows = []
     for entry in report:

@@ -28,7 +28,6 @@ import bisect
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -58,14 +57,12 @@ CHUNK = 2**16
 MAX_RUNS = 2**22
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     time: float
     kind: str
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Time-ordered external events plus the simulated duration."""
 
     events: tuple[ScenarioEvent, ...] = ()
@@ -140,8 +137,7 @@ def _rate_text(x) -> str:  # an int as %g, so a 300-digit rate prints short
     return f"{x:g}" if isinstance(x, int) and abs(x) <= sys.float_info.max else repr(x)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     sample_rate: int = 16000
     switchover_delay: float = 0.010
     battery_present: bool = True
@@ -165,14 +161,12 @@ class SimConfig:
                     raise SimulationError(f"ideal_pair frequencies must be finite and > 0, got {f!r}")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     what: str
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(NamedTuple):
     """Sampled node waveforms on the grid ``k / sample_rate``, plus the exact-time event log."""
 
     sample_rate: int
@@ -250,8 +244,7 @@ def _overlapping(intervals: tuple, first: float, last: float) -> tuple:
     return intervals[lo:bisect.bisect_right(intervals, last, key=itemgetter(0))]
 
 
-@dataclass(frozen=True, eq=False)
-class Timeline:
+class Timeline(NamedTuple):
     """A simulated scenario as intervals and an event log, before sampling.
 
     All three interval lists are sorted and disjoint.  ``render`` samples any
@@ -397,6 +390,9 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
         )
     power = design.amplifier_power(spec.vcc, spec.v_be, spec.amp_base_resistance, spec.tr2_hfe)
     amplitude = math.sqrt(power.p_out * spec.speaker_impedance)
+    if not math.isfinite(amplitude):
+        raise design.DesignError(
+            f"siren amplitude sqrt({power.p_out:g} W * {spec.speaker_impedance:g} Ω) is not finite")
 
     log: list[TraceEvent] = [
         TraceEvent(event.time, f"event {event.kind}") for event in scenario.events
@@ -524,10 +520,9 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
 # --- Monte Carlo tolerance study ---------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ToleranceResult:
+class ToleranceResult(NamedTuple):
     runs: int
-    samples: np.ndarray = field(repr=False)
+    samples: np.ndarray
     min: float = 0.0
     max: float = 0.0
     mean: float = 0.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 UNITS = ("ohm", "farad", "volt", "ampere", "second", "hertz", "watt", "dimensionless")
 
@@ -61,20 +61,26 @@ class QuantityError(ValueError):
     """Malformed quantity text, or a magnitude outside the unit's domain."""
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A finite scalar tagged with one of the supported units."""
-
+class _Quantity(NamedTuple):
     magnitude: float
     unit: str
 
-    def __post_init__(self) -> None:
-        if self.unit not in UNITS:
-            raise QuantityError(f"unknown unit tag {self.unit!r}")
-        if not isinstance(self.magnitude, (int, float)) or not math.isfinite(self.magnitude):
-            raise QuantityError(f"magnitude must be finite, got {self.magnitude!r}")
-        if self.unit in _NONNEGATIVE_UNITS and self.magnitude < 0:
-            raise QuantityError(f"{self.unit} magnitude must be >= 0, got {self.magnitude!r}")
+
+class Quantity(_Quantity):
+    """A finite scalar tagged with one of the supported units."""
+
+    __slots__ = ()
+
+    def __new__(cls, magnitude: float, unit: str) -> Quantity:
+        if unit not in UNITS:
+            raise QuantityError(f"unknown unit tag {unit!r}")
+        if not isinstance(magnitude, (int, float)) or not math.isfinite(magnitude):
+            raise QuantityError(f"magnitude must be finite, got {magnitude!r}")
+        if unit in _NONNEGATIVE_UNITS and magnitude < 0:
+            raise QuantityError(f"{unit} magnitude must be >= 0, got {magnitude!r}")
+        return super().__new__(cls, magnitude, unit)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace builds through it
 
     def __str__(self) -> str:
         return format_quantity(self)
@@ -179,22 +185,28 @@ def _shortest_digits(mantissa: float, factor: float, target: float) -> str:
 # --- IEC 60063 preferred value series -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ESeries:
-    """One decade of preferred values, e.g. E12 = 1.0, 1.2, ... 8.2."""
-
+class _ESeries(NamedTuple):
     name: str
     mantissas: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        n = int(self.name[1:])
-        if len(self.mantissas) != n:
-            raise QuantityError(f"{self.name} must list {n} mantissas")
-        for lo, hi in zip(self.mantissas, self.mantissas[1:]):
+
+class ESeries(_ESeries):
+    """One decade of preferred values, e.g. E12 = 1.0, 1.2, ... 8.2."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, mantissas: tuple[float, ...]) -> ESeries:
+        n = int(name[1:])
+        if len(mantissas) != n:
+            raise QuantityError(f"{name} must list {n} mantissas")
+        for lo, hi in zip(mantissas, mantissas[1:]):
             if not lo < hi:
-                raise QuantityError(f"{self.name} mantissas must be strictly increasing")
-        if self.mantissas[0] < 1.0 or self.mantissas[-1] >= 10.0:
-            raise QuantityError(f"{self.name} mantissas must lie in [1.0, 10.0)")
+                raise QuantityError(f"{name} mantissas must be strictly increasing")
+        if mantissas[0] < 1.0 or mantissas[-1] >= 10.0:
+            raise QuantityError(f"{name} mantissas must lie in [1.0, 10.0)")
+        return super().__new__(cls, name, mantissas)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace builds through it
 
 
 E6 = ESeries("E6", (1.0, 1.5, 2.2, 3.3, 4.7, 6.8))

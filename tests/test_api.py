@@ -1,5 +1,8 @@
 """The public API: every name the package exports resolves, lazily."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import touchalarm
@@ -41,3 +44,16 @@ def test_readme_streaming_import():
     exec("from touchalarm import export, timeline", namespace)
     assert namespace["export"] is export
     assert namespace["timeline"] is simulator.timeline
+
+
+def test_no_module_imports_dataclasses():
+    # Records are typing.NamedTuples: a dataclass execs generated source at import.
+    for path in Path(touchalarm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name

@@ -222,6 +222,22 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("flag", ["--wav", "--csv"])
+    @pytest.mark.parametrize("circuit", ["vcc = 1e200\n", "speaker_impedance = 1e308\n"],
+                             ids=["power", "impedance"])
+    def test_overflowing_amplitude_writes_nothing(self, touch_scenario, tmp_path, circuit, flag):
+        # A fresh interpreter: under pytest a RuntimeWarning is an error, which would
+        # turn the old garbage-WAV bug into an exit 4 as well.
+        (tmp_path / "big.circ").write_text(circuit)
+        proc = subprocess.run(
+            [sys.executable, "-m", "touchalarm", "simulate", "--circuit", str(tmp_path / "big.circ"),
+             "--scenario", touch_scenario, flag, str(tmp_path / "out")],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("computation error: siren amplitude sqrt(")
+        assert proc.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.circ", "touch.scn"]
+
     def test_byte_identical_files_across_runs(self, touch_scenario, tmp_path):
         first = tmp_path / "a.wav"
         second = tmp_path / "b.wav"
@@ -279,6 +295,14 @@ class TestVerify:
         assert main(["verify", "--tolerance", "inf"]) == 2
         assert capsys.readouterr().err == \
             "usage error: --tolerance must be finite: inf would match every figure\n"
+
+    def test_tolerance_overflowing_as_a_percentage(self, capsys):
+        assert main(["verify", "--tolerance", "1e307"]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: --tolerance must be finite: 1e+307 is inf as a percentage\n"
+        assert main(["verify", "--tolerance", "1e300"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.endswith("  (tol 1e+302%)") for line in lines)
 
     def test_unreadable_circuit(self):
         assert main(["verify", "--circuit", "/nonexistent.circ"]) == 3
@@ -390,25 +414,32 @@ class TestUsage:
         assert main(["design", "--color"]) == 2
 
 
+def _subprocess_env():
+    """The environment, with this package's sources first on PYTHONPATH."""
+    src = str(Path(touchalarm.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _imported(args):
     """Exit code and top-level names of the modules a fresh ``python -X importtime args`` loads."""
-    src = str(Path(touchalarm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     names = {line.rsplit("|", 1)[-1].strip().split(".")[0]
              for line in proc.stderr.splitlines() if line.startswith("import time:")}
     return proc.returncode, names
 
 
+calculator_runs = pytest.mark.parametrize("args, code", [
+    (["-m", "touchalarm", "design"], 0),
+    (["-m", "touchalarm", "design", "--format", "kv"], 0),
+    (["-m", "touchalarm", "verify"], 1),
+    (["-m", "touchalarm", "snap", "4.7k"], 0),
+    (["-c", "import touchalarm, touchalarm.cli"], 0),
+], ids=["design", "design-kv", "verify", "snap", "import"])
+
+
 class TestNumpyFree:
-    @pytest.mark.parametrize("args, code", [
-        (["-m", "touchalarm", "design"], 0),
-        (["-m", "touchalarm", "design", "--format", "kv"], 0),
-        (["-m", "touchalarm", "verify"], 1),
-        (["-m", "touchalarm", "snap", "4.7k"], 0),
-        (["-c", "import touchalarm, touchalarm.cli"], 0),
-    ], ids=["design", "design-kv", "verify", "snap", "import"])
+    @calculator_runs
     def test_calculator_never_loads_numpy(self, args, code):
         exit_code, names = _imported(args)
         assert exit_code == code
@@ -422,3 +453,14 @@ class TestNumpyFree:
             exit_code, names = _imported(["-m", "touchalarm", *args])
             assert exit_code == 0
             assert "numpy" in names
+
+
+class TestNoGeneratedCode:
+    """The records are named tuples: no ``dataclasses``, which pulls in ``inspect``."""
+
+    @calculator_runs
+    def test_calculator_never_loads_dataclasses(self, args, code):
+        exit_code, names = _imported(args)
+        assert exit_code == code
+        assert "touchalarm" in names
+        assert not names & {"dataclasses", "inspect"}

@@ -470,9 +470,10 @@ class TestVerifyReferenceValues:
 
     def test_tolerance_must_be_finite_and_positive(self):
         report = compute_report(CircuitSpec())
-        for tolerance in (0.0, -0.1, math.nan, math.inf):
+        for tolerance in (0.0, -0.1, math.nan, math.inf, 1e307):  # 1e307 is inf as a percentage
             with pytest.raises(DesignError, match="tolerance: must be finite and > 0"):
                 verify_reference_values(report, tolerance)
+        assert {entry.tolerance for entry in verify_reference_values(report, 1e300)} == {1e300}
 
     def test_match_iff_within_tolerance(self):
         for entry in verify_reference_values(compute_report(CircuitSpec())):
@@ -538,3 +539,10 @@ class TestCircuitSpecValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(DesignError, match="r3"):
             CircuitSpec(r3=math.inf).validate()
+
+    def test_nonfinite_named_in_declaration_order(self):
+        spec = CircuitSpec(speaker_impedance=math.nan, r3=math.inf, fuse_rating=-math.inf)
+        with pytest.raises(DesignError, match=r"^fuse_rating: must be a finite number, got -inf$"):
+            spec.validate()
+        with pytest.raises(DesignError, match=r"^r3: must be a finite number, got inf$"):
+            spec._replace(fuse_rating=1.0).validate()

@@ -200,7 +200,7 @@ class TestCsvMatchesReference:
             def times(self):
                 return (5000 * self.sample_rate + np.arange(self.n_samples)) / self.sample_rate
 
-        trace = LateTrace(**vars(table_trace(100_000, sample_rate, seed=sample_rate)))
+        trace = LateTrace(*table_trace(100_000, sample_rate, seed=sample_rate))
         assert write_csv(trace) == reference_csv(trace)
 
     def test_many_distinct_values(self):

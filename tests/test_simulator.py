@@ -1,6 +1,5 @@
 """Simulation engine against the analytic timeline oracle, plus Monte Carlo."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -417,7 +416,7 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("sample_rate", [2000, 8001, 44100])
     def test_times_are_the_sample_grid(self, sample_rate):
-        assert "times" not in {f.name for f in dataclasses.fields(Trace)}
+        assert "times" not in Trace._fields
         trace = run(SPEC, _scenario((0.5, "touch_start"), duration=1.5),
                     SimConfig(sample_rate=sample_rate))
         expected = np.array([k / sample_rate for k in range(round(1.5 * sample_rate))])
@@ -439,6 +438,19 @@ class TestRunValidation:
     def test_bad_spec_propagates(self):
         with pytest.raises(DesignError, match="c2"):
             run(CircuitSpec(c2=0.0), Scenario((), 1.0), SimConfig())
+
+    @pytest.mark.parametrize("spec", [CircuitSpec(vcc=1e200), CircuitSpec(speaker_impedance=1e308)],
+                             ids=["power", "impedance"])
+    def test_overflowing_amplitude_is_a_design_error(self, spec):
+        with pytest.raises(DesignError, match=r"^siren amplitude sqrt\(.* is not finite$"):
+            simulator.timeline(spec, _scenario((1.0, "touch_start"), duration=2.0))
+
+    def test_record_defaults(self):
+        assert Scenario() == Scenario(events=(), duration=30.0)
+        assert SimConfig()._asdict() == {
+            "sample_rate": 16000, "switchover_delay": 0.010, "battery_present": True,
+            "ideal_pair": None, "retrigger": "level_sensitive",
+        }
 
     def test_bad_scenario(self):
         bad = Scenario((ScenarioEvent(5.0, "touch_start"),), 1.0)
@@ -574,7 +586,7 @@ class TestChannelsMatchReference:
         whole = simulator.timeline(SPEC, _scenario((0.0, "touch_start"), duration=4.0),
                                    SimConfig(sample_rate=rate))
         t1 = 0.4 * period
-        whole = dataclasses.replace(whole, modulator=design.AstableTimes(
+        whole = whole._replace(modulator=design.AstableTimes(
             t1, period - t1, period, 1.0 / period, t1 / period))
         for cuts in ([], [sample - 1], [sample + 2]):
             expected = assert_channels_match_reference(whole, cuts)
@@ -601,7 +613,7 @@ class TestChannelsMatchReference:
             period = np.nextafter(period, np.inf if ulps > 0 else 0)
         assume(period > 2.0 / rate)
         whole = simulator.timeline(SPEC, Scenario((), 0.0), SimConfig())
-        whole = dataclasses.replace(whole, modulator=design.AstableTimes(
+        whole = whole._replace(modulator=design.AstableTimes(
             0.5 * period, 0.5 * period, period, 1.0 / period, 0.5))
         got = whole._position(elapsed.copy())
         assert np.array_equal(got.view(np.uint64), np.fmod(elapsed, period).view(np.uint64))

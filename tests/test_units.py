@@ -286,6 +286,23 @@ class TestQuantityInvariants:
         with pytest.raises(QuantityError):
             Quantity(-50.0, "hertz")
 
+    @pytest.mark.parametrize("build", [
+        lambda: Quantity._make((math.inf, "volt")),
+        lambda: Quantity(1.0, "ohm")._replace(magnitude=-5.0),
+        lambda: Quantity(1.0, "ohm")._replace(unit="furlong"),
+        lambda: ESeries._make(("E2", (1.5, 1.0))),
+        lambda: E12._replace(mantissas=E12.mantissas[:-1]),
+    ], ids=["quantity-make", "quantity-replace-magnitude", "quantity-replace-unit",
+            "series-make", "series-replace"])
+    def test_make_and_replace_check_too(self, build):
+        with pytest.raises(QuantityError):
+            build()
+
+    def test_valid_replace_keeps_the_type(self):
+        q = Quantity(1.0, "ohm")._replace(magnitude=4.7e3)
+        assert type(q) is Quantity and q == Quantity(4.7e3, "ohm") and str(q) == "4.7kΩ"
+        assert E12._replace(name="E12") == E12
+
     def test_parse_number_prefix(self):
         assert parse_number("2.4056m") == pytest.approx(2.4056e-3, rel=1e-15)
         assert parse_number(" -1.5k ") == -1500.0
