@@ -43,49 +43,53 @@ def csv_header() -> bytes:
     return (CSV_HEADER + "\n").encode()
 
 
-def _words(buf: np.ndarray) -> np.ndarray:
-    """Little-endian uint64 view of the last axis of ``buf``: item k is bytes k..k+7."""
-    return np.ndarray(buf.shape[:-1] + (buf.shape[-1] - 7,), "<u8", buf,
-                      strides=buf.strides[:-1] + (1,))
+_BLOCK = 2**13  # rows per layout pass, which bounds the pass's temporaries
+
+
+def _records(buf: np.ndarray, width: int, offset: int = 0, stride: int = 1) -> np.ndarray:
+    """The ``width``-byte items of ``buf``'s bytes that start at ``offset + k * stride``."""
+    return np.ndarray((buf.nbytes - offset - width) // stride + 1, f"V{width}", buf, offset, (stride,))
 
 
 def csv_rows(chunk: Trace | Chunk) -> np.ndarray:
     """Waveform rows: time to 9 decimals, booleans as 0/1, floats as repr.
 
     Each row reads ``f"{t:.9f},{s},{g},{m},{carrier!r},{speaker!r}"`` for
-    ``t`` in ``chunk.times``, but the rows are laid out in one uint8 buffer
-    instead of one string each:
-
-    - row offsets come from a cumulative sum of the row lengths;
-    - the time cell is written from the integer nanosecond ``rint(t * 1e9)``:
-      the fraction's last eight digits as one word from a four-digit table,
-      the rest by ``% 10`` passes.  Rows where that could round differently
-      from ``.9f``, within a few ulps of a half-nanosecond tie, are
-      formatted with ``.9f`` one by one;
-    - the rest of a row, its form, depends only on the three booleans and
-      the bit patterns of carrier and speaker.  Each distinct form is
-      formatted once and copied into its rows eight bytes at a time.
-
+    ``t`` in ``chunk.times``, laid out in one uint8 buffer.  A time cell is
+    three words from tables of digit groups: eight seconds digits that end
+    at the point, the point and nine fraction digits of ``rint(t * 1e9)``.
+    Rows near a half-nanosecond tie, where that could round differently
+    from ``.9f``, and negative or non-finite times are formatted with
+    ``.9f``.  The rest of a row, its form, depends only on the booleans and
+    the bits of carrier and speaker; each distinct form is formatted once.
+    A block at a time, each row gets two record writes: its form, padded on
+    the left to the longest form of its band of lengths and right-aligned at
+    the row's end, then its time cell.  Bands are narrow enough that the
+    padding falls inside the row's own time cell, so no write reaches
+    another row and the order in which numpy scatters does not matter.
     Each row depends on its own sample alone, so the rows of consecutive
     chunks concatenate to the rows of the whole trace.
     """
     times = chunk.times
     n = len(times)
-    if n == 0:  # the word view below needs at least eight bytes
+    if n == 0:
         return np.empty(0, np.uint8)
 
     # --- time cells: integer nanoseconds, exact unless near a tie -----------
-    scaled = times * 1e9
-    nanos = np.rint(scaled)
-    exact = 0.5 - np.abs(scaled - nanos) > 4 * np.spacing(scaled)
-    seconds, fraction = np.divmod(np.where(exact, nanos, 0).astype(np.int64), 10**9)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge and infinite times are slow
+        scaled = times * 1e9
+        nanos = np.rint(scaled)
+        # 4 ulps of scaled are at most scaled * 2**-50
+        exact = (np.abs(scaled - nanos) < 0.5 - scaled * 2.0**-49) & ~np.signbit(times)
+    nanos[~exact] = 0
+    seconds = np.floor((nanos + 0.5) * 1e-9).astype(np.uint32)  # exact, as nanos < 2**48
+    fraction = (nanos - seconds * 1e9).astype(np.uint32)
     del scaled, nanos
-    # digits before the point: one more than the powers of ten <= seconds
-    width = 1 + np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), seconds, "right")
+    powers = (10**k for k in range(1, len(str(seconds.max()))))
+    lead = sum((seconds >= power for power in powers), np.ones(n, np.int16))  # digits before "."
     slow = np.flatnonzero(~exact)
-    slow_cells = [f"{t:.9f}".encode() for t in times[slow].tolist()]
-    time_len = width + 10
-    time_len[slow] = [len(cell) for cell in slow_cells]
+    slow_cells = [f"{t:.9f}" for t in times[slow].tolist()]
+    lead[slow] = [len(cell) - 10 for cell in slow_cells]
 
     # --- forms: the distinct rests of a row, found among run starts ---------
     carrier = np.ascontiguousarray(chunk.carrier_freq, np.float64).view(np.uint64)
@@ -104,55 +108,54 @@ def csv_rows(chunk: Trace | Chunk) -> np.ndarray:
         return_inverse=True)
     row_form = np.repeat(run_form, np.diff(run_start, append=n))
     del carrier, speaker, flags, run_start, carrier_id, speaker_id, run_form
-    carriers = carrier_bits.view(np.float64).tolist()
-    speakers = speaker_bits.view(np.float64).tolist()
-    forms = []
-    for key in keys.tolist():
-        pair, flag = divmod(key, 8)
-        c, v = divmod(pair, len(speakers))
-        forms.append(
-            f",{flag >> 2},{flag >> 1 & 1},{flag & 1},{carriers[c]!r},{speakers[v]!r}\n".encode())
-    form_len = np.array([len(form) for form in forms], dtype=np.int64)
-    form_table = np.zeros((len(forms), int(form_len.max(initial=8))), np.uint8)
-    for i, form in enumerate(forms):
-        form_table[i, :len(form)] = np.frombuffer(form, np.uint8)
-    row_form_len = form_len[row_form]
+    pair, flag = np.divmod(keys, 8)
+    forms = [f",{g >> 2},{g >> 1 & 1},{g & 1},{c!r},{v!r}\n".encode() for g, c, v in zip(
+        flag.tolist(), carrier_bits.view(np.float64)[pair // len(speaker_bits)].tolist(),
+        speaker_bits.view(np.float64)[pair % len(speaker_bits)].tolist())]
+    form_len = [len(form) for form in forms]
+    spill, tops = int(lead.min()) + 10, []  # the shortest time cell; the longest form of each band
+    for length in sorted(set(form_len)):
+        if not tops or length > low + spill:
+            low = length
+            tops.append(length)
+        tops[-1] = length
+    tables = [np.frombuffer(b"".join(form.rjust(top)[-top:] for form in forms), f"V{top}")
+              for top in tops]
+    form_band = np.searchsorted(tops, form_len)
 
     # --- layout ---------------------------------------------------------------
-    row_len = time_len + row_form_len
-    start = np.cumsum(row_len) - row_len
-    buf = np.empty(int(row_len.sum()), np.uint8)
-    words = _words(buf)
-    del row_len
-
-    # Every row gets digits; a slow row's "0.000000000" fits in the shortest
-    # row (3 + 15 bytes) and is overwritten by its own cell and form below.
-    point = start + width
-    buf[point] = ord(".")
-    # item i of four_digits is the ASCII of f"{i:04d}" read little-endian
-    i = np.arange(10**4, dtype=np.uint64)
-    four_digits = sum((i // 10**k % 10 + ord("0")) << np.uint64(8 * (3 - k)) for k in range(4))
-    high, low = np.divmod(fraction, 10**4)
-    words[point + 2] = four_digits[high % 10**4] | four_digits[low] << np.uint64(32)
-    buf[point + 1] = high // 10**4 + ord("0")
-    del fraction, high, low
-    for j in range(int(width.max(initial=0))):  # integer digits, right to left
-        seconds, digit = np.divmod(seconds, 10)
-        rows = np.flatnonzero(width > j)
-        buf[point[rows] - 1 - j] = digit[rows] + ord("0")
-    del point, seconds, width
-    for row, cell in zip(slow.tolist(), slow_cells):
-        buf[start[row]:start[row] + len(cell)] = np.frombuffer(cell, np.uint8)
-
-    # Forms go in word by word; a form's last word ends at its last byte.
-    tail = start + time_len
-    del start, time_len
-    form_words = _words(form_table)
-    for length in np.unique(form_len).tolist():
-        rows = np.flatnonzero(row_form_len == length)
-        at, their = tail[rows], row_form[rows]
-        for k in [*range(0, length - 8, 8), length - 8]:
-            words[at + k] = form_words[:, k].take(their)
+    bounds = np.zeros(n + 1, np.int64)
+    start, end = bounds[:-1], bounds[1:]
+    np.cumsum(np.take(form_len, row_form) + lead + 10, out=end)
+    buf = np.empty(int(end[-1]), np.uint8)
+    point = 8 * max(1, -(-int(lead.max()) // 8))  # row k's cell: bytes point - lead[k]:point + 10
+    # Digit groups as little-endian ASCII: two[i] is f"{i:02d}", four[i] f"{i:04d}", high[i]
+    # the same four bytes after four others and dot[i] f".{i:03d}" (ord("0") - 2 is ord(".")).
+    k = np.arange(100, dtype=np.uint64)
+    two = (k // 10 + ord("0")) | (k % 10 + ord("0")) << np.uint64(8)
+    four = (two[:, None] | two << np.uint64(16)).reshape(-1)
+    high, dot = four << np.uint64(32), four[:1000] - 2
+    cuts = (np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist()
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        ends, their = end[b0:b1], row_form[b0:b1]
+        for b, (top, table) in enumerate(zip(tops, tables)):
+            rows = np.flatnonzero(form_band.take(their) == b) if len(tops) > 1 else slice(None)
+            _records(buf, top)[ends[rows] - top] = table.take(their[rows])
+        s, f = seconds[b0:b1], fraction[b0:b1]
+        words = np.empty((b1 - b0, point // 8 + 2), np.uint64)
+        words[:, point // 8 - 1] = four.take(s // 10**4) | high.take(s % 10**4)
+        words[:, point // 8] = dot.take(f // 10**6) | high.take(f // 100 % 10**4)
+        words[:, point // 8 + 1] = two.take(f % 100)
+        edges = [b0, *(cut for cut in cuts if b0 < cut < b1), b1]
+        for i0, i1 in zip(edges, edges[1:]):
+            width = int(lead[i0]) + 10
+            cells = _records(words, width, point + 10 - width, words.shape[1] * 8)
+            _records(buf, width)[start[i0:i1]] = cells[i0 - b0:i1 - b0]
+    for length in set(map(len, slow_cells)):
+        pick = [i for i, text in enumerate(slow_cells) if len(text) == length]
+        text = "".join(slow_cells[i] for i in pick).encode()
+        _records(buf, length)[start[slow[pick]]] = np.frombuffer(text, f"V{length}")
     return buf
 
 

@@ -370,12 +370,16 @@ class TestTolerance:
         assert main(["tolerance", "--tol", "0.001", "--runs", "100", "--seed", "42"]) == 0
         assert "contains_measured=false" in capsys.readouterr().out
 
-    def test_zero_runs_is_usage_error(self):
+    def test_zero_runs_is_usage_error(self, capsys):
         assert main(["tolerance", "--runs", "0"]) == 2
+        assert capsys.readouterr().err == "usage error: runs must be >= 1, got 0\n"
 
-    def test_bad_tol(self):
-        assert main(["tolerance", "--tol", "0"]) == 2
-        assert main(["tolerance", "--tol", "1.5"]) == 2
+    def test_bad_tol(self, capsys):
+        for tol in ["0", "1", "1.5", "nan"]:
+            assert main(["tolerance", "--tol", tol]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: rel_tolerance must be in (0, 1), got ")
+            assert err.count("\n") == 1
 
     def test_deterministic(self, capsys):
         main(["tolerance", "--runs", "500", "--seed", "7"])
@@ -422,11 +426,17 @@ def _subprocess_env():
 
 def _imported(args):
     """Exit code and top-level names of the modules a fresh ``python -X importtime args`` loads."""
+    exit_code, modules = _imported_modules(args)
+    return exit_code, {name.split(".")[0] for name in modules}
+
+
+def _imported_modules(args):
+    """Exit code and full dotted names of the modules a fresh ``python -X importtime args`` loads."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=60)
-    names = {line.rsplit("|", 1)[-1].strip().split(".")[0]
-             for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    return proc.returncode, names
+    modules = {line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, modules
 
 
 calculator_runs = pytest.mark.parametrize("args, code", [
@@ -453,6 +463,22 @@ class TestNumpyFree:
             exit_code, names = _imported(["-m", "touchalarm", *args])
             assert exit_code == 0
             assert "numpy" in names
+
+
+class TestNoMaskedArrays:
+    """Writing CSV or WAV and running a study never import ``numpy.ma`` (about 15 ms)."""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--scenario", "SCN", "--csv", "CSV", "--wav", "WAV"],
+        ["simulate", "--scenario", "SCN", "--wav", "WAV"],
+        ["tolerance", "--runs", "100"],
+    ], ids=["simulate-csv-wav", "simulate-wav", "tolerance"])
+    def test_never_loads_numpy_ma(self, args, touch_scenario, tmp_path):
+        files = {"SCN": touch_scenario, "CSV": str(tmp_path / "x.csv"), "WAV": str(tmp_path / "x.wav")}
+        exit_code, modules = _imported_modules(["-m", "touchalarm", *(files.get(a, a) for a in args)])
+        assert exit_code == 0
+        assert "numpy" in modules
+        assert not [name for name in modules if name.split(".")[:2] == ["numpy", "ma"]]
 
 
 class TestNoGeneratedCode:

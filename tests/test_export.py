@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from touchalarm.design import CircuitSpec, compute_report, verify_reference_values
+from touchalarm.design import CircuitSpec, compute_report, parse_circuit, verify_reference_values
 from touchalarm.export import (
     CSV_HEADER,
     ExportError,
     WAV_FULL_SCALE,
     check_wav_rate,
+    csv_header,
+    csv_rows,
     wav_pcm,
     write_csv,
     write_report,
     write_wav,
 )
-from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, Trace, run
+from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, Trace, run, timeline
 
 SPEC = CircuitSpec()
 
@@ -244,6 +246,97 @@ class TestCsvMatchesReference:
             sounding_intervals=(),
         )
         assert write_csv(trace) == reference_csv(trace)
+
+
+def chunk_trace(chunk, sample_rate):
+    """A rendered chunk as a Trace with the chunk's own times, for ``reference_csv``."""
+
+    class ChunkTrace(Trace):
+        @property
+        def times(self):
+            return chunk.times
+
+    return ChunkTrace(sample_rate, chunk.supply_on, chunk.trigger_out, chunk.modulator_high,
+                      chunk.carrier_freq, chunk.speaker, 6.335, (), (), ())
+
+
+def near_ties(times):
+    """Rows whose nanosecond count lies within four ulps of a half-nanosecond tie."""
+    scaled = times * 1e9
+    return 0.5 - np.abs(scaled - np.rint(scaled)) <= 4 * np.spacing(scaled)
+
+
+def held_touch(duration, spec=SPEC, sample_rate=16000, **config):
+    scenario = Scenario((ScenarioEvent(0.0, "touch_start"),), duration)
+    return timeline(spec, scenario, SimConfig(sample_rate=sample_rate, **config))
+
+
+class TestCsvRowsOfChunks:
+    """``csv_rows`` and ``write_csv`` on rendered chunks, against the per-row reference."""
+
+    def assert_matches_reference(self, chunk, sample_rate):
+        trace = chunk_trace(chunk, sample_rate)
+        expected = reference_csv(trace)
+        assert csv_header() + csv_rows(chunk).tobytes() == expected
+        assert write_csv(trace) == expected
+        return expected
+
+    # rows before the boundary: one, mid-block, a whole 8192-row block
+    @pytest.mark.parametrize("before", [1, 4097, 8192])
+    @pytest.mark.parametrize("boundary", [10, 100])
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, 8192])
+    def test_time_cells_widen_inside_a_chunk(self, sample_rate, boundary, before):
+        line = held_touch(boundary + 1, sample_rate=sample_rate)
+        i0 = boundary * sample_rate - before
+        chunk = line.render(i0, i0 + 3 * 8192 + 5)
+        rows = self.assert_matches_reference(chunk, sample_rate).splitlines()[1:]
+        widths = {len(row.split(b".")[0]) for row in rows}
+        assert widths == {len(str(boundary)) - 1, len(str(boundary))}
+        assert chunk.speaker.any()
+
+    def test_fast_modulator(self):
+        spec = parse_circuit("c6 = 4.7n\n")
+        chunk = held_touch(2.0, spec).render(1000, 1000 + 30000)
+        runs = 1 + np.count_nonzero((np.diff(chunk.carrier_freq) != 0) | (np.diff(chunk.speaker) != 0))
+        assert runs > len(chunk.times) / 3  # about two rows per run
+        self.assert_matches_reference(chunk, 16000)
+
+    def test_near_ties_mixed_with_exact_rows(self):
+        chunk = held_touch(30.0, sample_rate=8192, battery_present=False).render(70000, 70000 + 20000)
+        ties = near_ties(chunk.times)
+        assert 0 < np.count_nonzero(ties) < len(ties)
+        self.assert_matches_reference(chunk, 8192)
+
+    def test_times_off_the_grid(self):
+        # ulps around half-nanosecond ties, past 2**48 ns, negative, and not finite
+        ties = np.array([(m + 0.5) / 1e9 for m in (0, 7, 12345, 10**9 + 3, 123456789012)])
+        times = np.concatenate([
+            (ties[:, None] + np.arange(-6, 7) * np.spacing(ties)[:, None]).ravel(),
+            [2.0**48 / 1e9, 9.9e6, 1e7 + 0.25, 1e15, 1e300, -0.0, -1.5, -1e-12,
+             np.nan, np.inf, -np.inf, 9.9999999995, 99.9999999996, 0.0]])
+
+        class OffGrid(Trace):
+            @property
+            def times(self):
+                return times
+
+        trace = OffGrid(*table_trace(len(times)))
+        assert write_csv(trace) == reference_csv(trace)
+
+    @given(st.sampled_from([8001, 8192, 9973, 16000, 44100]),
+           st.floats(0.0, 120.0), st.floats(0.001, 130.0), st.booleans(),
+           st.floats(0.0, 1.0), st.integers(0, 3 * 8192))
+    @settings(max_examples=40, deadline=None)
+    def test_random_render_ranges(self, sample_rate, touch, duration, one_shot, where, length):
+        events = (ScenarioEvent(touch, "touch_start"), ScenarioEvent(touch + 0.01, "touch_end"),
+                  ScenarioEvent(touch + 0.5, "mains_fail"), ScenarioEvent(touch + 0.7, "mains_restore"))
+        config = SimConfig(sample_rate=sample_rate, battery_present=False,
+                           retrigger="one_shot" if one_shot else "level_sensitive")
+        line = timeline(SPEC, Scenario(tuple(e for e in events if e.time < duration), duration),
+                        config)
+        i0 = int(where * line.n_samples)
+        chunk = line.render(i0, min(i0 + length, line.n_samples))
+        self.assert_matches_reference(chunk, sample_rate)
 
 
 class TestWav:
