@@ -104,8 +104,10 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
 def _atomic_files(paths):
     """Open a ``.partial`` file for each path; rename them all once the block succeeds.
 
-    A target that is a directory is refused before anything is opened.  Any
-    failure removes every ``.partial`` file and leaves every target alone.
+    A target that is a directory is refused before anything is opened, and a
+    ``.partial`` file that cannot be opened is reported under its target's
+    name.  Any failure removes every ``.partial`` file and leaves every target
+    alone.
     """
     targets = [Path(path) for path in paths]
     temps = [target.with_name(target.name + ".partial") for target in targets]
@@ -113,9 +115,13 @@ def _atomic_files(paths):
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     with contextlib.ExitStack() as stack:
-        for tmp in temps:  # gone already after a successful rename
-            stack.callback(tmp.unlink, missing_ok=True)
-        files = [stack.enter_context(open(tmp, "wb")) for tmp in temps]
+        files = []
+        for tmp, target in zip(temps, targets):
+            stack.callback(tmp.unlink, missing_ok=True)  # gone already after a successful rename
+            try:
+                files.append(stack.enter_context(open(tmp, "wb")))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(target)) from None
         yield files
         for file in files:
             file.close()
@@ -172,7 +178,7 @@ def cmd_simulate(args) -> int:
         outputs.append((args.csv, export.csv_header(), export.csv_rows))
     if args.wav is not None:
         outputs.append((args.wav, export.wav_header(timeline.sample_rate, timeline.n_samples),
-                        lambda chunk: export.wav_pcm(chunk.speaker, timeline.amplitude)))
+                        lambda chunk: export.wav_pcm(chunk.speaker, chunk.amplitude)))
     paths, headers, encoders = zip(*outputs)
     with _atomic_files(paths) as files:
         for file, header in zip(files, headers):

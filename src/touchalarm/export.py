@@ -2,9 +2,9 @@
 
 Everything here is a pure function from immutable inputs to bytes, so
 repeated exports are byte-identical and safe to golden-test.  CSV and WAV
-come as a header plus an encoder per chunk of samples (``csv_rows``,
-``wav_pcm``), so a file can be streamed; ``write_csv`` and ``write_wav``
-encode a whole trace the same way.
+come as a header plus an encoder per piece of samples (``csv_rows`` of a
+``Trace`` from ``Timeline.render``, ``wav_pcm``), so a file can be streamed;
+``write_csv`` and ``write_wav`` encode a whole trace the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .design import ExportError
 from .design import write_report  # only so that bench/run.py --trace 1 can wrap export.write_report
-from .simulator import Chunk, Trace, _rate_text
+from .simulator import Trace, _rate_text
 
 CSV_HEADER = "t,supply_on,trigger_out,modulator_high,carrier_freq,speaker"
 
@@ -51,7 +51,7 @@ def _records(buf: np.ndarray, width: int, offset: int = 0, stride: int = 1) -> n
     return np.ndarray((buf.nbytes - offset - width) // stride + 1, f"V{width}", buf, offset, (stride,))
 
 
-def csv_rows(chunk: Trace | Chunk) -> np.ndarray:
+def csv_rows(chunk: Trace) -> np.ndarray:
     """Waveform rows: time to 9 decimals, booleans as 0/1, floats as repr.
 
     Each row reads ``f"{t:.9f},{s},{g},{m},{carrier!r},{speaker!r}"`` for

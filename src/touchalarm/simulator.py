@@ -3,8 +3,8 @@
 ``timeline`` turns a scenario of touch and mains events into intervals and
 an exact-time event log: the relay changeover (with its switchover delay),
 the trigger windows and the sounding segments of the two-tone siren.
-``Timeline.render`` samples any stretch of it, so long runs stream in
-chunks; ``run`` renders it whole into a ``Trace``.
+``Timeline.render`` samples any stretch of it as a ``Trace``, so long runs
+stream in chunks; ``run`` renders it whole.
 ``monte_carlo_timeout`` spreads the trigger timing parts over a tolerance
 band with one deterministic random stream per run.
 
@@ -167,7 +167,11 @@ class TraceEvent(NamedTuple):
 
 
 class Trace(NamedTuple):
-    """Sampled node waveforms on the grid ``k / sample_rate``, plus the exact-time event log."""
+    """Samples ``start..start + n_samples`` of the node waveforms, on the grid ``k / sample_rate``.
+
+    A piece of a longer run holds that run's ``amplitude``, exact-time event
+    log, ``alarm_windows`` and ``sounding_intervals``, not just its own.
+    """
 
     sample_rate: int
     supply_on: np.ndarray
@@ -179,11 +183,12 @@ class Trace(NamedTuple):
     events: tuple[TraceEvent, ...]
     alarm_windows: tuple[tuple[float, float], ...]
     sounding_intervals: tuple[tuple[float, float], ...]
+    start: int = 0
 
     @property
     def times(self) -> np.ndarray:
-        """The sample grid, ``k / sample_rate`` for k in 0..n_samples-1."""
-        return np.arange(self.n_samples, dtype=np.float64) / self.sample_rate
+        """The sample grid, ``k / sample_rate`` for k in start..start+n_samples-1."""
+        return np.arange(self.start, self.start + self.n_samples, dtype=np.float64) / self.sample_rate
 
     @property
     def n_samples(self) -> int:
@@ -194,18 +199,11 @@ class Trace(NamedTuple):
         return sum(end - start for start, end in self.sounding_intervals)
 
 
-def _paired_touches(scenario: Scenario) -> list[tuple[float, float | None]]:
-    pairs: list[tuple[float, float | None]] = []
-    start = None
-    for event in scenario.events:
-        if event.kind == "touch_start":
-            start = event.time
-        elif event.kind == "touch_end":
-            pairs.append((start, event.time))
-            start = None
-    if start is not None:
-        pairs.append((start, None))  # held past the end of the scenario
-    return pairs
+def _pairs(events, opening: str, closing: str) -> list[tuple[float, float | None]]:
+    """(open, close) times of alternating events; one left open closes at None."""
+    opens = [event.time for event in events if event.kind == opening]
+    closes = [event.time for event in events if event.kind == closing]
+    return list(zip(opens, [*closes, None]))
 
 
 def _merge_spans(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -222,17 +220,6 @@ def _merge_spans(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
         else:
             merged.append([a, b])
     return [(a, b) for a, b in merged]
-
-
-class Chunk(NamedTuple):
-    """Samples ``i0..i1`` of every channel, at times ``k / sample_rate``."""
-
-    times: np.ndarray
-    supply_on: np.ndarray
-    trigger_out: np.ndarray
-    modulator_high: np.ndarray
-    carrier_freq: np.ndarray
-    speaker: np.ndarray
 
 
 def _overlapping(intervals: tuple, first: float, last: float) -> tuple:
@@ -258,26 +245,18 @@ class Timeline(NamedTuple):
     alarm_windows: tuple[tuple[float, float], ...]  # trigger high on [start, end)
     off_spans: tuple[tuple[float, float], ...]  # supply off on (a, b]
     segments: tuple[tuple[float, float, str, str], ...]  # sounding (ref, end, on, off)
+    sounding_intervals: tuple[tuple[float, float], ...]  # segments clipped to the scenario
     events: tuple[TraceEvent, ...]
     modulator: design.AstableTimes
     carrier_pair: tuple[float, float]  # (modulator high, modulator low)
     amplitude: float
 
     @property
-    def sounding_intervals(self) -> tuple[tuple[float, float], ...]:
-        """Each segment clipped to the scenario; segments past its end dropped."""
-        return tuple(
-            (ref, min(end, self.duration))
-            for ref, end, _on, _off in self.segments
-            if ref < self.duration
-        )
-
-    @property
     def sounding_seconds(self) -> float:
         return sum(end - start for start, end in self.sounding_intervals)
 
-    def render(self, i0: int, i1: int) -> Chunk:
-        """The channels for samples ``i0..i1``: one slice per overlapping interval."""
+    def render(self, i0: int, i1: int) -> Trace:
+        """Samples ``i0..i1`` as a ``Trace`` starting at ``i0``: one slice per overlapping interval."""
         times = np.arange(i0, i1, dtype=np.float64)
         np.divide(times, self.sample_rate, out=times)
         n = len(times)
@@ -286,8 +265,10 @@ class Timeline(NamedTuple):
         modulator_high = np.zeros(n, dtype=bool)
         carrier = np.zeros(n, dtype=np.float64)
         speaker = np.zeros(n, dtype=np.float64)
+        piece = Trace(self.sample_rate, supply, trigger, modulator_high, carrier, speaker,
+                      self.amplitude, self.events, self.alarm_windows, self.sounding_intervals, i0)
         if n == 0:
-            return Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+            return piece
         first, last = float(times[0]), float(times[-1])
 
         def first_at_or_after(t: float) -> int:
@@ -325,7 +306,7 @@ class Timeline(NamedTuple):
             np.multiply(self.amplitude, np.add(np.multiply(out, -4.0, out=out), 1.0, out=out), out=out)
             freq.fill(freq_mod_low)
             np.copyto(freq, freq_mod_high, where=high)
-        return Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+        return piece
 
     def _position(self, elapsed: np.ndarray) -> np.ndarray:
         """``np.fmod(elapsed, period)`` bit for bit, for increasing ``elapsed >= 0``: cycle k,
@@ -346,7 +327,7 @@ class Timeline(NamedTuple):
         elapsed -= np.repeat(lo, counts)
         return elapsed
 
-    def chunks(self) -> Iterator[Chunk]:
+    def chunks(self) -> Iterator[Trace]:
         """``render`` over consecutive pieces of ``CHUNK`` samples."""
         for i0 in range(0, self.n_samples, CHUNK):
             yield self.render(i0, min(i0 + CHUNK, self.n_samples))
@@ -400,7 +381,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
 
     # --- trigger windows [start, end) ----------------------------------------
     windows: list[list] = []  # [start, end, cause]
-    for start, end in _paired_touches(scenario):
+    for start, end in _pairs(scenario.events, "touch_start", "touch_end"):
         if config.retrigger == "one_shot":
             if windows and start < windows[-1][1]:
                 log.append(TraceEvent(start, "retrigger ignored (one-shot window active)"))
@@ -427,9 +408,8 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     mains_events = [e for e in scenario.events if e.kind in ("mains_fail", "mains_restore")]
     spans = [(e.time, e.time + config.switchover_delay) for e in mains_events]
     if not config.battery_present:
-        fails = [e.time for e in mains_events if e.kind == "mains_fail"]
-        restores = [e.time for e in mains_events if e.kind == "mains_restore"]
-        spans += zip(fails, restores + [math.inf])
+        spans += [(a, math.inf if b is None else b)
+                  for a, b in _pairs(mains_events, "mains_fail", "mains_restore")]
     off_spans = _merge_spans(spans)
 
     last_mains_kind = {e.time: e.kind for e in mains_events}
@@ -492,6 +472,11 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
         alarm_windows=tuple((w[0], w[1]) for w in windows),
         off_spans=tuple(off_spans),
         segments=tuple(segments),
+        sounding_intervals=tuple(
+            (ref, min(end, scenario.duration))
+            for ref, end, _on, _off in segments
+            if ref < scenario.duration
+        ),
         events=tuple(log),
         modulator=modulator,
         carrier_pair=(freq_mod_high, freq_mod_low),
@@ -502,19 +487,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
 def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None = None) -> Trace:
     """Simulate the scenario and return the sampled trace."""
     whole = timeline(spec, scenario, config)
-    chunk = whole.render(0, whole.n_samples)
-    return Trace(
-        sample_rate=whole.sample_rate,
-        supply_on=chunk.supply_on,
-        trigger_out=chunk.trigger_out,
-        modulator_high=chunk.modulator_high,
-        carrier_freq=chunk.carrier_freq,
-        speaker=chunk.speaker,
-        amplitude=whole.amplitude,
-        events=whole.events,
-        alarm_windows=whole.alarm_windows,
-        sounding_intervals=whole.sounding_intervals,
-    )
+    return whole.render(0, whole.n_samples)
 
 
 # --- Monte Carlo tolerance study ---------------------------------------------

@@ -67,6 +67,12 @@ class TestDesign:
     def test_unwritable_out_leaves_no_file(self, tmp_path):
         assert main(["design", "--out", str(tmp_path / "no" / "dir" / "r.txt")]) == 3
 
+    def test_unopenable_out_is_named_as_given(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.txt"
+        assert main(["design", "--out", str(target)]) == 3
+        assert capsys.readouterr().err \
+            == f"input error: [Errno 2] No such file or directory: '{target}'\n"
+
     def test_deterministic_stdout(self, capsys):
         main(["design", "--format", "kv"])
         first = capsys.readouterr().out
@@ -165,6 +171,16 @@ class TestSimulate:
         assert main(["simulate", "--scenario", touch_scenario, "--wav", str(target)]) == 3
         assert "input error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["siren.wav", "touch.scn"]
+
+    @pytest.mark.parametrize("missing", ["csv", "wav"])
+    def test_unopenable_output_is_named_as_given(self, touch_scenario, tmp_path, capsys, missing):
+        paths = {"csv": tmp_path / "t.csv", "wav": tmp_path / "t.wav"}
+        paths[missing] = tmp_path / "missing" / f"t.{missing}"
+        assert main(["simulate", "--scenario", touch_scenario,
+                     "--csv", str(paths["csv"]), "--wav", str(paths["wav"])]) == 3
+        assert capsys.readouterr().err \
+            == f"input error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["touch.scn"]
 
     def test_wav_rate_rejected_before_simulating(self, touch_scenario, tmp_path, capsys,
                                                  monkeypatch):

@@ -248,18 +248,6 @@ class TestCsvMatchesReference:
         assert write_csv(trace) == reference_csv(trace)
 
 
-def chunk_trace(chunk, sample_rate):
-    """A rendered chunk as a Trace with the chunk's own times, for ``reference_csv``."""
-
-    class ChunkTrace(Trace):
-        @property
-        def times(self):
-            return chunk.times
-
-    return ChunkTrace(sample_rate, chunk.supply_on, chunk.trigger_out, chunk.modulator_high,
-                      chunk.carrier_freq, chunk.speaker, 6.335, (), (), ())
-
-
 def near_ties(times):
     """Rows whose nanosecond count lies within four ulps of a half-nanosecond tie."""
     scaled = times * 1e9
@@ -275,10 +263,10 @@ class TestCsvRowsOfChunks:
     """``csv_rows`` and ``write_csv`` on rendered chunks, against the per-row reference."""
 
     def assert_matches_reference(self, chunk, sample_rate):
-        trace = chunk_trace(chunk, sample_rate)
-        expected = reference_csv(trace)
+        assert chunk.sample_rate == sample_rate
+        expected = reference_csv(chunk)
         assert csv_header() + csv_rows(chunk).tobytes() == expected
-        assert write_csv(trace) == expected
+        assert write_csv(chunk) == expected
         return expected
 
     # rows before the boundary: one, mid-block, a whole 8192-row block

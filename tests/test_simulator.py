@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -484,6 +485,17 @@ class TestRunValidation:
         assert first.alarm_windows == second.alarm_windows
 
 
+class Channels(NamedTuple):
+    """The sampled channels of a ``Trace``, under its names, with the times as an array."""
+
+    times: np.ndarray
+    supply_on: np.ndarray
+    trigger_out: np.ndarray
+    modulator_high: np.ndarray
+    carrier_freq: np.ndarray
+    speaker: np.ndarray
+
+
 def reference_channels(whole, i0, i1):
     """Samples ``i0..i1`` of every channel, the siren computed sample by sample.
 
@@ -515,7 +527,7 @@ def reference_channels(whole, i0, i1):
         modulator_high[index] = high
         carrier[index] = freq
         speaker[index] = whole.amplitude * np.where(parity == 0, 1.0, -1.0)
-    return simulator.Chunk(times, supply, trigger, modulator_high, carrier, speaker)
+    return Channels(times, supply, trigger, modulator_high, carrier, speaker)
 
 
 def assert_channels_match_reference(whole, cuts=()):

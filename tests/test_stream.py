@@ -24,6 +24,9 @@ SWITCHOVER = 0.001
 # 8192 Hz puts a half-nanosecond tie on every 16th CSV time cell.
 RATES = [16000, 44100, 9973, 8001, 8192]
 
+# The sampled arrays of a rendered piece, its grid included.
+CHANNELS = ("times", "supply_on", "trigger_out", "modulator_high", "carrier_freq", "speaker")
+
 
 def edge_scenario(rate, chunk, battery):
     """Touches and relay gaps around the first two chunk edges past sample 60.
@@ -102,17 +105,36 @@ class TestChunkEdges:
         n = whole.n_samples
         bounds = sorted({0, n, *(int(c * n) for c in cuts)})
         pieces = [whole.render(i0, i1) for i0, i1 in zip(bounds, bounds[1:])]
-        for name, full in whole.render(0, n)._asdict().items():
+        full_trace = whole.render(0, n)
+        for name in CHANNELS:
+            full = getattr(full_trace, name)
             joined = np.concatenate([getattr(piece, name) for piece in pieces])
             assert joined.dtype == full.dtype
             assert joined.view(np.uint8).tobytes() == full.view(np.uint8).tobytes(), name
             if full.dtype == np.float64:
                 assert joined.view(np.uint64).tolist() == full.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("rate", [8001, 16000])
+    def test_pieces_are_traces_on_their_own_grid(self, rate):
+        config = SimConfig(sample_rate=rate, switchover_delay=SWITCHOVER)
+        whole = simulator.timeline(SPEC, edge_scenario(rate, simulator.CHUNK, True), config)
+        n, edge = whole.n_samples, simulator.CHUNK
+        assert 2 * edge < n < 3 * edge  # the last chunk is partial
+        assert whole.render(edge - 50, edge + 50).speaker.any()
+        for i0, i1 in [(0, 0), (edge, edge), (n, n), (edge - 50, edge + 50), (0, edge),
+                       (edge, 2 * edge), (2 * edge, n), (n - 1, n)]:
+            piece = whole.render(i0, i1)
+            assert type(piece) is simulator.Trace and piece.start == i0, (i0, i1)
+            assert piece.times.view(np.uint64).tolist() \
+                == (np.arange(i0, i1) / rate).view(np.uint64).tolist(), (i0, i1)
+            pcm = export.wav_pcm(piece.speaker, whole.amplitude).tobytes()
+            assert write_wav(piece) == export.wav_header(rate, i1 - i0) + pcm, (i0, i1)
+        assert [piece.start for piece in whole.chunks()] == [0, edge, 2 * edge]
+
     def test_empty_render(self):
         whole = simulator.timeline(SPEC, Scenario((), 0.0), SimConfig())
         assert whole.n_samples == 0 and list(whole.chunks()) == []
-        assert all(len(channel) == 0 for channel in whole.render(0, 0))
+        assert all(len(getattr(whole.render(0, 0), name)) == 0 for name in CHANNELS)
 
 
 def traced_peak(argv):
