@@ -5,8 +5,8 @@ Commands: ``design`` (sizing report), ``simulate`` (scenario to CSV/WAV),
 figures; exits 1 when errata are found), ``tolerance`` (Monte Carlo spread
 of the trigger timeout).
 
-Exit codes: 0 success, 1 errata found, 2 usage error, 3 input-file error,
-4 computation error.  Reports and summaries go to stdout, diagnostics to
+Exit codes: 0 success, 1 errata found, 2 usage error, 3 input- or output-file
+error, 4 computation error.  Reports and summaries go to stdout, diagnostics to
 stderr.  Output files are written to temp names and renamed only once all
 of a command's files are complete; ``simulate`` streams its samples into
 them chunk by chunk.  ``simulate`` and ``tolerance`` import the
@@ -25,7 +25,8 @@ import sys
 from pathlib import Path
 
 from . import design
-from .units import Quantity, QuantityError, format_number, format_quantity, parse_number, snap_preferred
+from .units import (SERIES, SNAP_MODES, Quantity, QuantityError, format_number, format_quantity,
+                    parse_number, snap_preferred)
 
 EXIT_OK = 0
 EXIT_ERRATA = 1
@@ -68,8 +69,8 @@ def build_parser() -> _Parser:
                        help="replace the control-pin siren model with two fixed tones")
 
     p_snap = sub.add_parser("snap", help="snap a value to a preferred series")
-    p_snap.add_argument("--series", choices=("E6", "E12", "E24", "E96"), default="E12")
-    p_snap.add_argument("--mode", choices=("nearest", "up", "down"), default="nearest")
+    p_snap.add_argument("--series", choices=tuple(SERIES), default="E12")
+    p_snap.add_argument("--mode", choices=SNAP_MODES, default="nearest")
     p_snap.add_argument("value")
 
     p_verify = sub.add_parser("verify", help="audit the reference design's worked figures")
@@ -87,11 +88,13 @@ def build_parser() -> _Parser:
 
 
 def _read_input(path: str, error: type[ValueError]) -> str:
-    """An input file's text; bytes that are not UTF-8 raise ``error`` (exit 3)."""
+    """An input file's text; a failed read or non-UTF-8 bytes raise ``error`` (exit 3)."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise error(str(exc)) from None
 
 
 def _load_spec(path: str | None) -> design.CircuitSpec:
@@ -248,8 +251,11 @@ def main(argv=None) -> int:
     except (UsageError, design.ExportError, design.SimulationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (design.CircuitFileError, design.ScenarioError, OSError) as exc:
+    except (design.CircuitFileError, design.ScenarioError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # inputs are read through _read_input, so this is an output
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (design.DesignError, QuantityError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)

@@ -102,12 +102,11 @@ class CircuitSpec(NamedTuple):
         for name, value in zip(self._fields, self):
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise DesignError(f"{name}: must be a finite number, got {value!r}")
-        for name in _POSITIVE_FIELDS:
-            if getattr(self, name) <= 0:
-                raise DesignError(f"{name}: must be > 0, got {getattr(self, name)!r}")
-        for name in ("mains_voltage", "transformer_secondary", "regulator_voltage",
-                     "diode_piv_rating", "vcc", "v_led", "v_be"):
-            if getattr(self, name) < 0:
+        for name, value in zip(self._fields, self):
+            if FIELD_UNITS[name] in ("ohm", "farad", "ampere", "hertz", "watt") and value <= 0:
+                raise DesignError(f"{name}: must be > 0, got {value!r}")
+        for name, value in zip(self._fields, self):
+            if FIELD_UNITS[name] == "volt" and value < 0:
                 raise DesignError(f"{name}: voltage must be >= 0")
         if not 0.0 < self.ripple_factor < 1.0:
             raise DesignError(f"ripple_factor: must be in (0, 1), got {self.ripple_factor!r}")
@@ -120,15 +119,6 @@ class CircuitSpec(NamedTuple):
         if self.transformer_secondary < self.regulator_voltage:
             raise DesignError("transformer_secondary: must be >= regulator_voltage")
 
-
-_POSITIVE_FIELDS = (
-    "fuse_rating", "regulator_current", "ripple_frequency",
-    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12",
-    "c1", "c2", "c3", "c4", "c5", "c6",
-    "i_led_max", "i_led_run",
-    "amp_base_resistance", "relay_coil_resistance",
-    "speaker_impedance", "speaker_power_rating",
-)
 
 # key -> unit tag, for the circuit file format
 FIELD_UNITS = {

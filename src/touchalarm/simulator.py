@@ -72,8 +72,6 @@ class Scenario(NamedTuple):
         previous = 0.0
         expected = {"touch": "touch_start", "mains": "mains_fail"}
         for event in self.events:
-            if event.kind not in EVENT_KINDS:
-                raise ScenarioError(f"unknown event kind {event.kind!r}")
             if not math.isfinite(event.time) or event.time < 0:
                 raise ScenarioError(f"event time must be finite and >= 0, got {event.time!r}")
             if event.time < previous:
@@ -81,16 +79,13 @@ class Scenario(NamedTuple):
                     f"event times must be non-decreasing ({event.time} after {previous})"
                 )
             previous = event.time
-            group = "touch" if event.kind.startswith("touch") else "mains"
+            group = "touch" if event.kind in EVENT_KINDS[:2] else "mains"
             if event.kind != expected[group]:
                 raise ScenarioError(
                     f"{event.kind} at {event.time} breaks alternation "
                     f"(expected {expected[group]})"
                 )
-            expected[group] = {
-                "touch_start": "touch_end", "touch_end": "touch_start",
-                "mains_fail": "mains_restore", "mains_restore": "mains_fail",
-            }[event.kind]
+            expected[group] = EVENT_KINDS[EVENT_KINDS.index(event.kind) ^ 1]
         if not math.isfinite(self.duration) or self.duration < 0:
             raise ScenarioError(f"duration must be finite and >= 0, got {self.duration!r}")
         if self.events and self.duration < self.events[-1].time:

@@ -7,8 +7,6 @@ import math
 import re
 from typing import NamedTuple
 
-UNITS = ("ohm", "farad", "volt", "ampere", "second", "hertz", "watt", "dimensionless")
-
 UNIT_SYMBOLS = {
     "ohm": "Ω",
     "farad": "F",
@@ -20,17 +18,10 @@ UNIT_SYMBOLS = {
     "dimensionless": "",
 }
 
+UNITS = tuple(UNIT_SYMBOLS)
+
 # Accepted unit suffix spellings ("ohm" for plain-ASCII config files).
-_UNIT_SPELLINGS = {
-    "Ω": "ohm",
-    "ohm": "ohm",
-    "F": "farad",
-    "V": "volt",
-    "A": "ampere",
-    "s": "second",
-    "Hz": "hertz",
-    "W": "watt",
-}
+_UNIT_SPELLINGS = {**{symbol: unit for unit, symbol in UNIT_SYMBOLS.items() if symbol}, "ohm": "ohm"}
 
 # "u", "µ" (micro sign) and "μ" (Greek mu) all mean micro on input.
 PREFIX_FACTORS = {

@@ -71,7 +71,7 @@ class TestDesign:
         target = tmp_path / "missing" / "r.txt"
         assert main(["design", "--out", str(target)]) == 3
         assert capsys.readouterr().err \
-            == f"input error: [Errno 2] No such file or directory: '{target}'\n"
+            == f"output error: [Errno 2] No such file or directory: '{target}'\n"
 
     def test_deterministic_stdout(self, capsys):
         main(["design", "--format", "kv"])
@@ -169,7 +169,7 @@ class TestSimulate:
         target = tmp_path / "siren.wav"
         target.mkdir()
         assert main(["simulate", "--scenario", touch_scenario, "--wav", str(target)]) == 3
-        assert "input error" in capsys.readouterr().err
+        assert "output error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["siren.wav", "touch.scn"]
 
     @pytest.mark.parametrize("missing", ["csv", "wav"])
@@ -179,8 +179,20 @@ class TestSimulate:
         assert main(["simulate", "--scenario", touch_scenario,
                      "--csv", str(paths["csv"]), "--wav", str(paths["wav"])]) == 3
         assert capsys.readouterr().err \
-            == f"input error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+            == f"output error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["touch.scn"]
+
+    @pytest.mark.parametrize("flag", ["--circuit", "--scenario"])
+    @pytest.mark.parametrize("name, problem", [("missing.txt", "[Errno 2] No such file or directory"),
+                                               (".", "[Errno 21] Is a directory")])
+    def test_unreadable_input_is_an_input_error(self, touch_scenario, tmp_path, capsys,
+                                                flag, name, problem):
+        bad = tmp_path / name
+        argv = {"--scenario": touch_scenario, flag: str(bad)}
+        assert main(["simulate", *[x for kv in argv.items() for x in kv],
+                     "--csv", str(tmp_path / "t.csv")]) == 3
+        assert capsys.readouterr().err == f"input error: {problem}: '{bad}'\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_wav_rate_rejected_before_simulating(self, touch_scenario, tmp_path, capsys,
                                                  monkeypatch):

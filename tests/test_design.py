@@ -1,12 +1,14 @@
 """Design equations, report assembly, and the reference-figure audit."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from touchalarm.design import (
+    FIELD_UNITS,
     CircuitFileError,
     CircuitSpec,
     DesignError,
@@ -30,6 +32,17 @@ from touchalarm.design import (
 # gives 720/91 V (modulator low) and 732/91 V (modulator high).
 V_CTL_LOW = 720.0 / 91.0
 V_CTL_HIGH = 732.0 / 91.0
+
+# The parts that must be > 0 and the voltages that must be >= 0: the roster
+# that FIELD_UNITS has to reproduce.
+POSITIVE_FIELDS = (
+    "fuse_rating", "regulator_current", "ripple_frequency",
+    *(f"r{i}" for i in range(1, 13)), *(f"c{i}" for i in range(1, 7)),
+    "i_led_max", "i_led_run",
+    "amp_base_resistance", "relay_coil_resistance", "speaker_impedance", "speaker_power_rating",
+)
+VOLT_FIELDS = ("mains_voltage", "transformer_secondary", "regulator_voltage",
+               "diode_piv_rating", "vcc", "v_led", "v_be")
 
 
 class TestMonostable:
@@ -546,3 +559,30 @@ class TestCircuitSpecValidation:
             spec.validate()
         with pytest.raises(DesignError, match=r"^r3: must be a finite number, got inf$"):
             spec._replace(fuse_rating=1.0).validate()
+
+    def test_every_field_has_a_unit(self):
+        assert tuple(FIELD_UNITS) == CircuitSpec._fields
+
+    @pytest.mark.parametrize("name", CircuitSpec._fields)
+    def test_sign_rule_follows_unit(self, name):
+        if name in POSITIVE_FIELDS:
+            assert FIELD_UNITS[name] in ("ohm", "farad", "ampere", "hertz", "watt")
+            with pytest.raises(DesignError, match=rf"^{name}: must be > 0, got 0\.0$"):
+                CircuitSpec(**{name: 0.0}).validate()
+            return
+        if name in VOLT_FIELDS:
+            assert FIELD_UNITS[name] == "volt"
+            with pytest.raises(DesignError, match=rf"^{name}: voltage must be >= 0$"):
+                CircuitSpec(**{name: -1.0}).validate()
+        else:
+            assert FIELD_UNITS[name] == "dimensionless"
+        for value in (0.0,) if name in VOLT_FIELDS else (0.0, -1.0):
+            try:  # no sign rule applies, though another invariant may refuse the value
+                CircuitSpec(**{name: value}).validate()
+            except DesignError as exc:
+                assert not re.search(r": (must be > 0|voltage must be >= 0)", str(exc)), exc
+
+    def test_positive_fields_are_named_before_voltages(self):
+        spec = CircuitSpec(mains_voltage=-1.0, speaker_power_rating=0.0)
+        with pytest.raises(DesignError, match=r"^speaker_power_rating: must be > 0, got 0\.0$"):
+            spec.validate()

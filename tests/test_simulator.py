@@ -98,6 +98,22 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             Scenario((ScenarioEvent(-1.0, "touch_start"),), 10.0).validate()
 
+    def test_unknown_kind_names_its_line(self):
+        with pytest.raises(ScenarioError, match=r"^line 1: unknown event kind 'earthquake'$"):
+            parse_scenario("1 earthquake\n")
+
+    @pytest.mark.parametrize("events", [["earthquake"], ["touch_start", "touch_stop"],
+                                        ["mains_fail", None]])
+    def test_library_scenario_refuses_unknown_kind(self, events):
+        scenario = Scenario(tuple(ScenarioEvent(1.0, kind) for kind in events), 5.0)
+        with pytest.raises(ScenarioError, match=rf"^{events[-1]} at 1.0 breaks alternation"):
+            scenario.validate()
+
+    def test_each_kind_alternates_with_its_partner(self):
+        # EVENT_KINDS lists each kind beside its partner: start/end, fail/restore
+        assert simulator.EVENT_KINDS == ("touch_start", "touch_end", "mains_fail", "mains_restore")
+        parse_scenario("1 touch_start\n1 mains_fail\n2 touch_end\n2 mains_restore\n3 touch_start\n")
+
 
 class TestOracleEquivalence:
     """Sampled traces must agree with the analytic timeline at every point."""

@@ -167,7 +167,7 @@ class TestAllOrNothing:
         (tmp_path / "t.csv").mkdir()
         assert main(["simulate", "--scenario", scenario, "--csv", str(tmp_path / "t.csv"),
                      "--wav", str(tmp_path / "t.wav")]) == 3
-        assert capsys.readouterr().err.startswith("input error: ")
+        assert capsys.readouterr().err.startswith("output error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.scn"]
 
         (tmp_path / "t.csv").rmdir()

@@ -11,6 +11,7 @@ from touchalarm.units import (
     E12,
     E24,
     E96,
+    UNITS,
     ESeries,
     Quantity,
     QuantityError,
@@ -90,6 +91,22 @@ class TestParseQuantity:
 
     def test_negative_voltage_ok(self):
         assert parse_quantity("-5", "volt").magnitude == -5.0
+
+    # Every accepted suffix spelling, by unit: the table UNIT_SYMBOLS must reproduce.
+    SPELLINGS = {"ohm": ("Ω", "ohm"), "farad": ("F",), "volt": ("V",), "ampere": ("A",),
+                 "second": ("s",), "hertz": ("Hz",), "watt": ("W",), "dimensionless": ()}
+
+    @pytest.mark.parametrize("unit", sorted(SPELLINGS))
+    def test_every_spelling_parses_as_its_unit_only(self, unit):
+        assert set(UNITS) == set(self.SPELLINGS)
+        assert parse_quantity("2k", unit) == Quantity(2000.0, unit)
+        for other, spellings in self.SPELLINGS.items():
+            for spelling in spellings:
+                if other == unit:
+                    assert parse_quantity("2k" + spelling, unit) == Quantity(2000.0, unit)
+                else:
+                    with pytest.raises(QuantityError, match="conflicts with"):
+                        parse_quantity("2k" + spelling, unit)
 
 
 class TestFormatQuantity:
