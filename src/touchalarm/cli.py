@@ -11,7 +11,9 @@ stderr.  Output files are written to temp names and renamed only once all
 of a command's files are complete; ``simulate`` streams its samples into
 them chunk by chunk.  ``simulate`` and ``tolerance`` import the
 numpy-backed ``simulator`` and ``export`` when they run; the other commands
-never load numpy.
+never load numpy.  ``run`` (``python -m touchalarm`` and the ``touchalarm``
+script) freezes the heap with ``gc.freeze()`` once ``main`` returns, so the
+interpreter's exit collections skip it; ``main`` itself never freezes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import math
 import os
 import sys
@@ -33,6 +36,10 @@ EXIT_ERRATA = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_COMPUTE = 4
+
+# Budget for each circuit or scenario file: room for a scenario at
+# simulator.MAX_EVENTS events with 64 bytes a line.
+MAX_INPUT_BYTES = 2**22
 
 
 class UsageError(Exception):
@@ -88,13 +95,23 @@ def build_parser() -> _Parser:
 
 
 def _read_input(path: str, error: type[ValueError]) -> str:
-    """An input file's text; a failed read or non-UTF-8 bytes raise ``error`` (exit 3)."""
+    """An input file's text.
+
+    A failed read, more than MAX_INPUT_BYTES bytes or non-UTF-8 bytes raise
+    ``error`` (exit 3).  No more than one byte past the limit is ever read,
+    so a huge file, a pipe or ``/dev/zero`` is refused in bounded memory.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        with open(path, "rb") as file:
+            data = file.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise error(str(exc)) from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise error(f"{path}: more than {MAX_INPUT_BYTES} bytes, over the limit")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_spec(path: str | None) -> design.CircuitSpec:
@@ -266,4 +283,6 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # the process is ending: spare its exit collections a walk over the whole heap
+    raise SystemExit(code)

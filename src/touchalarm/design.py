@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .units import E6, E12, ESeries, Quantity, QuantityError, format_quantity, parse_quantity, snap_preferred
+from .units import (E6, E12, ESeries, Quantity, QuantityError, format_quantity, parse_quantity, quoted,
+                    snap_preferred)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -147,13 +148,13 @@ def parse_circuit(text: str) -> CircuitSpec:
         if not line:
             continue
         if "=" not in line:
-            raise CircuitFileError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise CircuitFileError(f"line {lineno}: expected 'key = value', got {quoted(raw)}")
         key, _, value_text = line.partition("=")
         key = key.strip().lower()
         if key not in FIELD_UNITS:
-            raise CircuitFileError(f"line {lineno}: unknown key {key!r}")
+            raise CircuitFileError(f"line {lineno}: unknown key {quoted(key)}")
         if key in overrides:
-            raise CircuitFileError(f"line {lineno}: duplicate key {key!r}")
+            raise CircuitFileError(f"line {lineno}: duplicate key {quoted(key)}")
         try:
             overrides[key] = parse_quantity(value_text.strip(), FIELD_UNITS[key]).magnitude
         except QuantityError as exc:

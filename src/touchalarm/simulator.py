@@ -35,6 +35,7 @@ import numpy as np
 
 from . import design
 from .design import ScenarioError, SimulationError
+from .units import quoted
 
 EVENT_KINDS = ("touch_start", "touch_end", "mains_fail", "mains_restore")
 
@@ -51,6 +52,10 @@ MAX_LOG_EVENTS = 2**20
 
 # Samples per piece of ``Timeline.chunks``: a few MiB of temporaries.
 CHUNK = 2**16
+
+# Budget for ``parse_scenario``: events per scenario, counted before the
+# event tuple is built.
+MAX_EVENTS = 2**16
 
 # Budget for ``monte_carlo_timeout``: runs per study (32 MiB of samples).
 # It also keeps every run index to one uint32 entropy word.
@@ -109,17 +114,19 @@ def parse_scenario(text: str) -> Scenario:
             try:
                 duration = float(parts[1])
             except ValueError:
-                raise ScenarioError(f"line {lineno}: bad duration {parts[1]!r}") from None
+                raise ScenarioError(f"line {lineno}: bad duration {quoted(parts[1])}") from None
             continue
         if len(parts) != 2:
-            raise ScenarioError(f"line {lineno}: expected '<time> <event>', got {raw!r}")
+            raise ScenarioError(f"line {lineno}: expected '<time> <event>', got {quoted(raw)}")
         try:
             time = float(parts[0])
         except ValueError:
-            raise ScenarioError(f"line {lineno}: bad time {parts[0]!r}") from None
+            raise ScenarioError(f"line {lineno}: bad time {quoted(parts[0])}") from None
         kind = parts[1]
         if kind not in EVENT_KINDS:
-            raise ScenarioError(f"line {lineno}: unknown event kind {kind!r}")
+            raise ScenarioError(f"line {lineno}: unknown event kind {quoted(kind)}")
+        if len(events) == MAX_EVENTS:
+            raise ScenarioError(f"line {lineno}: more than {MAX_EVENTS} events, over the limit")
         events.append(ScenarioEvent(time, kind))
     if duration is None:
         duration = events[-1].time + 30.0 if events else 30.0

@@ -48,6 +48,17 @@ _NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _UNIT_SPELLINGS_BY_LENGTH = sorted(_UNIT_SPELLINGS, key=len, reverse=True)
 
 
+# Longest input text that an error message quotes whole.
+QUOTE_LIMIT = 80
+
+
+def quoted(text: str) -> str:
+    """``repr(text)`` for an error message; text over QUOTE_LIMIT characters is cut and marked."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 class QuantityError(ValueError):
     """Malformed quantity text, or a magnitude outside the unit's domain."""
 
@@ -98,7 +109,7 @@ def _parse_prefixed(text: str, expected_unit: str | None) -> float:
     s = text.strip()
     m = _NUMBER_RE.match(s)
     if m is None:
-        raise QuantityError(f"malformed number in {text!r}")
+        raise QuantityError(f"malformed number in {quoted(text)}")
     value = float(m.group(0))
     rest = s[m.end():]
 
@@ -108,7 +119,7 @@ def _parse_prefixed(text: str, expected_unit: str | None) -> float:
                 found = _UNIT_SPELLINGS[spelling]
                 if found != expected_unit:
                     raise QuantityError(
-                        f"unit suffix {spelling!r} in {text!r} conflicts with "
+                        f"unit suffix {spelling!r} in {quoted(text)} conflicts with "
                         f"expected unit {expected_unit!r}"
                     )
                 rest = rest[: -len(spelling)]
@@ -117,7 +128,7 @@ def _parse_prefixed(text: str, expected_unit: str | None) -> float:
         try:
             value *= PREFIX_FACTORS[rest]
         except KeyError:
-            raise QuantityError(f"unknown SI prefix {rest!r} in {text!r}") from None
+            raise QuantityError(f"unknown SI prefix {quoted(rest)} in {quoted(text)}") from None
     return value
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import touchalarm
-from touchalarm import simulator
+from touchalarm import cli, simulator
 from touchalarm.cli import main
 
 TOUCH_SCENARIO = "1.0 touch_start\n1.2 touch_end\nduration 13\n"
@@ -435,6 +435,90 @@ class TestNonUtf8Input:
         assert not (tmp_path / "x.wav").exists()
 
 
+class TestInputBudgets:
+    """Input files are refused past ``cli.MAX_INPUT_BYTES`` without being read whole."""
+
+    # A limit on address space also bounds the peak RSS, and reading the input whole fails under
+    # it.  64 MiB fits the numpy-free commands; importing numpy alone takes more.
+    @pytest.mark.parametrize("argv, address_kib, seconds", [
+        (["design", "HUGE"], 65536, 0.5),
+        (["verify", "--circuit", "/dev/zero"], 65536, 0.5),
+        (["simulate", "--wav", "OUT", "--scenario", "/dev/zero"], 600000, 1.0),
+    ], ids=["sparse-3GB", "dev-zero", "dev-zero-scenario"])
+    def test_huge_input_exits_3_quickly_in_bounded_memory(self, argv, address_kib, seconds, tmp_path):
+        huge = tmp_path / "huge.circ"
+        with open(huge, "wb") as file:
+            file.truncate(3 << 30)  # sparse: no disk space taken
+        files = {"HUGE": str(huge), "OUT": str(tmp_path / "x.wav")}
+        argv = [files.get(arg, arg) for arg in argv]
+        limited = ["sh", "-c", f'ulimit -v {address_kib} && exec "$0" "$@"', sys.executable, "-m", "touchalarm"]
+        began = time.perf_counter()
+        proc = subprocess.run([*limited, *argv], env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert time.perf_counter() - began < seconds
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"input error: {argv[-1]}: more than {cli.MAX_INPUT_BYTES} bytes, over the limit\n"
+
+    @pytest.mark.parametrize("flag", ["--scenario", "--circuit"])
+    def test_limit_is_exact(self, flag, touch_scenario, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 64)
+        path = tmp_path / "input.txt"
+        argv = ["simulate", "--scenario", touch_scenario, flag, str(path), "--wav", str(tmp_path / "x.wav")]
+        text = TOUCH_SCENARIO if flag == "--scenario" else "vcc = 9\n"
+        path.write_bytes(text.encode().ljust(64, b"#"))
+        assert main(argv) == 0
+        capsys.readouterr()
+        path.write_bytes(path.read_bytes() + b"#")
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"input error: {path}: more than 64 bytes, over the limit\n"
+
+    def test_scenario_from_a_pipe(self, tmp_path, capsys):
+        # what the shell passes for `--scenario <(printf ...)`
+        read, write = os.pipe()
+        os.write(write, TOUCH_SCENARIO.encode())
+        os.close(write)
+        try:
+            assert main(["simulate", "--scenario", f"/dev/fd/{read}", "--wav", str(tmp_path / "x.wav")]) == 0
+        finally:
+            os.close(read)
+        assert capsys.readouterr().out == "alarm_windows=1 sounding=11.374s\n"
+
+
+LONG = "x" * 200_000
+
+
+class TestQuotedInputIsCut:
+    """An error message quotes at most ``units.QUOTE_LIMIT`` characters of an input text."""
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--circuit", LONG),
+        ("--circuit", f"{LONG[:100_000]} = 1"),
+        ("--circuit", f"r3 = 1{LONG}"),
+        ("--circuit", f"r3 = {LONG}"),
+        ("--circuit", f"r3 = 1k{LONG}Ω"),
+        ("--scenario", LONG),
+        ("--scenario", f"{LONG} touch_start"),
+        ("--scenario", f"1 {LONG}"),
+        ("--scenario", f"duration {LONG}"),
+    ], ids=["circuit-line", "key", "prefix", "number", "suffix", "scenario-line", "time", "kind",
+            "duration"])
+    def test_stderr_stays_short(self, flag, text, touch_scenario, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        argv = ["simulate", "--scenario", touch_scenario, flag, str(path), "--wav", str(tmp_path / "x.wav")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: line 1: ")
+        assert err.count("\n") == 1
+        assert " characters)" in err
+        assert len(err) < 400
+
+    def test_snap_value_is_cut_too(self, capsys):
+        assert main(["snap", f"1{LONG}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 400
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
@@ -518,3 +602,41 @@ class TestNoGeneratedCode:
         assert exit_code == code
         assert "touchalarm" in names
         assert not names & {"dataclasses", "inspect"}
+
+
+class TestConsoleEntry:
+    """``python -m touchalarm``: the exit path that freezes the heap before the interpreter exits."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["design"], 0),
+        (["verify"], 1),
+        (["design", "--color"], 2),
+        (["design", "MISSING"], 3),
+        (["design", "BIG"], 4),
+    ], ids=["design", "verify", "bad-flag", "missing-circuit", "overflow"])
+    def test_exit_codes(self, args, code, tmp_path):
+        (tmp_path / "big.circ").write_text("vcc = 1e200\n")
+        files = {"MISSING": str(tmp_path / "missing.circ"), "BIG": str(tmp_path / "big.circ")}
+        proc = subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr.count("\n") == (0 if code in (0, 1) else 1)
+
+    def test_verify_prints_the_golden_table(self):
+        proc = subprocess.run([sys.executable, "-m", "touchalarm", "verify"],
+                              env={**_subprocess_env(), "PYTHONUTF8": "1"}, capture_output=True, timeout=60)
+        golden = Path(__file__).parent / "golden" / "verify_default.txt"
+        assert proc.stdout == golden.read_bytes()
+
+    @pytest.mark.parametrize("args", [["design"], ["simulate", "--scenario", "SCN", "--wav", "WAV"]],
+                             ids=["design", "simulate-wav"])
+    def test_heap_is_frozen_at_exit(self, args, touch_scenario, tmp_path):
+        probe = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                 "from touchalarm.cli import run\n"
+                 "run()\n")
+        files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
+        proc = subprocess.run([sys.executable, "-c", probe, *(files.get(a, a) for a in args)],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == "frozen True\n"

@@ -4,7 +4,8 @@ Hypothesis drives ``cli.main`` with valid and mutated circuit and scenario
 text, sometimes saved as UTF-16 rather than UTF-8, and with odd
 ``--sample-rate``, ``--ideal-pair``, ``--runs``, ``--tol`` and ``verify
 --tolerance`` values.  The work budgets are made small so that every example
-stays quick.
+stays quick, and the input budgets are sometimes made smaller than the
+drawn files.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from touchalarm import design, simulator
+from touchalarm import cli, design, simulator
 from touchalarm.cli import main
 
 ODD_NUMBERS = ["0", "-1", "nan", "inf", "1e308", "1e-308", "5e-324", "1e400", "abc", "", "1p",
@@ -111,20 +112,25 @@ def command(draw):
     return argv, circuit, draw(scenario_text()), encodings
 
 
-@given(case=command())
+@given(case=command(), max_input_bytes=st.sampled_from([cli.MAX_INPUT_BYTES, 40]),
+       max_events=st.sampled_from([simulator.MAX_EVENTS, 3]))
 @settings(max_examples=300, deadline=timedelta(seconds=2))
-def test_cli_exits_cleanly(case):
+def test_cli_exits_cleanly(case, max_input_bytes, max_events):
     argv, circuit, scenario, (circuit_encoding, scenario_encoding) = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "MAX_SAMPLES", 2**18)
         mp.setattr(simulator, "MAX_LOG_EVENTS", 2000)
         mp.setattr(simulator, "MAX_RUNS", 2000)
+        mp.setattr(simulator, "MAX_EVENTS", max_events)
+        mp.setattr(cli, "MAX_INPUT_BYTES", max_input_bytes)
         Path(tmp, "c.circ").write_text(circuit or "", encoding=circuit_encoding)
         Path(tmp, "s.scn").write_text(scenario, encoding=scenario_encoding)
+        files = {"CIRCUIT": str(Path(tmp, "c.circ")), "SCENARIO": str(Path(tmp, "s.scn"))}
         utf16 = {name for name, encoding in [("CIRCUIT", circuit_encoding),
                                              ("SCENARIO", scenario_encoding)]
                  if encoding != "utf-8" and name in argv}
-        files = {"CIRCUIT": str(Path(tmp, "c.circ")), "SCENARIO": str(Path(tmp, "s.scn"))}
+        oversized = {name for name in files
+                     if name in argv and Path(files[name]).stat().st_size > max_input_bytes}
         argv = [files.get(arg, arg.replace("OUT/", tmp + "/")) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -134,5 +140,7 @@ def test_cli_exits_cleanly(case):
     assert code in (0, 2, 3, 4) or (code == 1 and argv[0] == "verify"), (code, err)
     assert "Traceback" not in err and "Warning" not in err, err
     assert err.count("\n") == (0 if code in (0, 1) else 1), err
-    if utf16:  # refused as an input error, unless a usage error or another input comes first
+    if oversized:
+        event("oversized input")
+    if utf16 or oversized:  # refused as an input error, unless a usage error comes first
         assert code in (2, 3), (code, err)

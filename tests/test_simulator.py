@@ -98,6 +98,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             Scenario((ScenarioEvent(-1.0, "touch_start"),), 10.0).validate()
 
+    def test_event_budget(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 2)
+        assert len(parse_scenario("1 touch_start\n2 touch_end\nduration 5\n").events) == 2
+        with pytest.raises(ScenarioError, match=r"^line 4: more than 2 events, over the limit$"):
+            parse_scenario("1 touch_start\n2 touch_end\n# a comment\n3 mains_fail\n")
+
     def test_unknown_kind_names_its_line(self):
         with pytest.raises(ScenarioError, match=r"^line 1: unknown event kind 'earthquake'$"):
             parse_scenario("1 earthquake\n")

@@ -11,6 +11,7 @@ from touchalarm.units import (
     E12,
     E24,
     E96,
+    QUOTE_LIMIT,
     UNITS,
     ESeries,
     Quantity,
@@ -19,6 +20,7 @@ from touchalarm.units import (
     format_quantity,
     parse_number,
     parse_quantity,
+    quoted,
     snap_preferred,
 )
 
@@ -107,6 +109,16 @@ class TestParseQuantity:
                 else:
                     with pytest.raises(QuantityError, match="conflicts with"):
                         parse_quantity("2k" + spelling, unit)
+
+
+class TestQuoted:
+    @pytest.mark.parametrize("text", ["", "4.7k", "it's", "\x00\u2028", "x" * QUOTE_LIMIT])
+    def test_text_up_to_the_limit_is_its_repr(self, text):
+        assert quoted(text) == repr(text)
+
+    def test_longer_text_is_cut_and_marked(self):
+        text = "ab" * QUOTE_LIMIT
+        assert quoted(text) == f"{text[:QUOTE_LIMIT]!r}... ({2 * QUOTE_LIMIT} characters)"
 
 
 class TestFormatQuantity:
