@@ -24,12 +24,13 @@ import errno
 import gc
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
 from . import design
-from .units import (SERIES, SNAP_MODES, Quantity, QuantityError, format_number, format_quantity,
-                    parse_number, snap_preferred)
+from .units import (QUOTE_LIMIT, SERIES, SNAP_MODES, Quantity, QuantityError, format_number,
+                    format_quantity, parse_number, quoted, snap_preferred)
 
 EXIT_OK = 0
 EXIT_ERRATA = 1
@@ -46,9 +47,17 @@ class UsageError(Exception):
     pass
 
 
+_QUOTED = r"""(['"])(?:\\.|(?!\1)[^\\])*\1"""  # a value as argparse quotes it, by repr
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit directly
-        raise UsageError(message)
+        raise UsageError(re.sub(_QUOTED, _cut, message))  # compiled on the first usage error
+
+
+def _cut(value: re.Match) -> str:
+    """``units.quoted`` of a value that argparse quoted, if the quoted value is over the limit."""
+    return quoted(value[0][1:-1]) if len(value[0]) > QUOTE_LIMIT + 2 else value[0]
 
 
 def build_parser() -> _Parser:
@@ -192,20 +201,20 @@ def cmd_simulate(args) -> int:
         export.check_wav_rate(config.sample_rate)
     timeline = simulator.timeline(spec, scenario, config)
 
-    # (path, header, chunk encoder) per requested file
+    # (path, header, chunk encoder to buffers) per requested file
     outputs = []
     if args.csv is not None:
         outputs.append((args.csv, export.csv_header(), export.csv_rows))
     if args.wav is not None:
         outputs.append((args.wav, export.wav_header(timeline.sample_rate, timeline.n_samples),
-                        lambda chunk: export.wav_pcm(chunk.speaker, chunk.amplitude)))
+                        lambda chunk: (export.wav_pcm(chunk.speaker, chunk.amplitude),)))
     paths, headers, encoders = zip(*outputs)
     with _atomic_files(paths) as files:
         for file, header in zip(files, headers):
             file.write(header)
         for chunk in timeline.chunks():
             for file, encode in zip(files, encoders):
-                file.write(encode(chunk))
+                file.writelines(encode(chunk))
 
     sounding = format_quantity(Quantity(timeline.sounding_seconds, "second"))
     sys.stdout.write(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n")

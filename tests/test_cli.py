@@ -11,6 +11,7 @@ import pytest
 import touchalarm
 from touchalarm import cli, simulator
 from touchalarm.cli import main
+from touchalarm.units import quoted
 
 TOUCH_SCENARIO = "1.0 touch_start\n1.2 touch_end\nduration 13\n"
 
@@ -517,6 +518,31 @@ class TestQuotedInputIsCut:
         assert main(["snap", f"1{LONG}"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 400
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--format", "VALUE"],
+        ["design", "--format=VALUE"],
+        ["snap", "--series", "VALUE", "1"],
+        ["snap", "--mode", "VALUE", "1"],
+        ["simulate", "--scenario", "s.scn", "--wav", "t.wav", "--sample-rate", "VALUE"],
+        ["tolerance", "--runs", "VALUE"],
+        ["verify", "--tolerance", "VALUE"],
+        ["VALUE"],
+    ], ids=["format", "format=", "series", "mode", "sample-rate", "runs", "tolerance", "command"])
+    def test_usage_error_quotes_a_cut_value(self, argv, monkeypatch, capsys):
+        def stderr(value):
+            assert main([arg.replace("VALUE", value) for arg in argv]) == 2
+            return capsys.readouterr().err
+
+        err = stderr(LONG[:5000])
+        assert err.startswith("usage error: argument ") and err.count("\n") == 1
+        assert quoted(LONG[:5000]) in err and len(err) < 400
+
+        at_limit = "it's" + "x" * 76
+        cut = stderr(at_limit)
+        monkeypatch.setattr(cli, "_QUOTED", "(?!)")  # a pattern that matches nothing
+        assert cut == stderr(at_limit)  # argparse's message, byte for byte
+        assert repr(at_limit) in cut
 
 
 class TestUsage:

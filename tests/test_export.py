@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from touchalarm import export
 from touchalarm.design import CircuitSpec, compute_report, parse_circuit, verify_reference_values
 from touchalarm.export import (
     CSV_HEADER,
@@ -195,14 +196,8 @@ class TestCsvMatchesReference:
 
     @pytest.mark.parametrize("sample_rate", [44100, 9973, 192000])
     def test_late_times_at_odd_rates(self, sample_rate):
-        class LateTrace(Trace):
-            """The rows of a long run that start 5000 s in."""
-
-            @property
-            def times(self):
-                return (5000 * self.sample_rate + np.arange(self.n_samples)) / self.sample_rate
-
-        trace = LateTrace(*table_trace(100_000, sample_rate, seed=sample_rate))
+        # the rows of a long run that start 5000 s in
+        trace = table_trace(100_000, sample_rate, seed=sample_rate)._replace(start=5000 * sample_rate)
         assert write_csv(trace) == reference_csv(trace)
 
     def test_many_distinct_values(self):
@@ -265,7 +260,7 @@ class TestCsvRowsOfChunks:
     def assert_matches_reference(self, chunk, sample_rate):
         assert chunk.sample_rate == sample_rate
         expected = reference_csv(chunk)
-        assert csv_header() + csv_rows(chunk).tobytes() == expected
+        assert csv_header() + b"".join(csv_rows(chunk)) == expected
         assert write_csv(chunk) == expected
         return expected
 
@@ -281,6 +276,37 @@ class TestCsvRowsOfChunks:
         widths = {len(row.split(b".")[0]) for row in rows}
         assert widths == {len(str(boundary)) - 1, len(str(boundary))}
         assert chunk.speaker.any()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("sample_rate", [16000, 44100, 8192])
+    def test_time_cells_widen_at_a_block_edge(self, monkeypatch, sample_rate, block):
+        monkeypatch.setattr(export, "_BLOCK", block)
+        i0 = 10 * sample_rate - 3 * block  # row 3 * block is the first at 10 s
+        chunk = held_touch(11, sample_rate=sample_rate).render(i0, i0 + 5 * block + 2)
+        rows = self.assert_matches_reference(chunk, sample_rate).splitlines()[1:]
+        assert [row.index(b".") for row in rows[3 * block - 1:3 * block + 1]] == [1, 2]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_near_ties_at_block_edges(self, monkeypatch, block, side):
+        monkeypatch.setattr(export, "_BLOCK", block)
+        # Row k is a tie when k % 16 == 8, so from i0 % 16 == 8 ties open blocks
+        # and from i0 % 16 == 9 they close them (in each block for 64 rows).
+        i0 = 70000 + 8 + side
+        chunk = held_touch(30.0, sample_rate=8192, battery_present=False).render(i0, i0 + 2000)
+        edge = block - 1 if side else 0
+        assert edge in (np.flatnonzero(near_ties(chunk.times)) % block).tolist()
+        self.assert_matches_reference(chunk, 8192)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_form_band_changes_at_a_block_edge(self, monkeypatch, block):
+        monkeypatch.setattr(export, "_BLOCK", block)
+        line = timeline(SPEC, Scenario((ScenarioEvent(0.5, "touch_start"),), 1.0), SimConfig())
+        onset = 8000  # the first sounding row, at the touch
+        chunk = line.render(onset - 2 * block, onset + 2 * block + 3)
+        rows = self.assert_matches_reference(chunk, 16000).splitlines()[1:]
+        form_len = [len(row) - row.index(b",") for row in rows]
+        assert form_len[2 * block - 1] + 20 < form_len[2 * block]  # silent, then sounding
 
     def test_fast_modulator(self):
         spec = parse_circuit("c6 = 4.7n\n")
@@ -306,10 +332,15 @@ class TestCsvRowsOfChunks:
         class OffGrid(Trace):
             @property
             def times(self):
-                return times
+                return times[self.start:self.start + self.n_samples]
 
         trace = OffGrid(*table_trace(len(times)))
         assert write_csv(trace) == reference_csv(trace)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_times_off_the_grid_in_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(export, "_BLOCK", block)
+        self.test_times_off_the_grid()
 
     @given(st.sampled_from([8001, 8192, 9973, 16000, 44100]),
            st.floats(0.0, 120.0), st.floats(0.001, 130.0), st.booleans(),

@@ -1,15 +1,21 @@
 """Streamed `simulate` output: chunk edges change no byte, memory stays bounded,
 and the output files appear all together or not at all."""
 
+import collections
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import touchalarm
 from touchalarm import design, export, simulator
 from touchalarm.cli import main
 from touchalarm.export import write_csv, write_wav
@@ -90,6 +96,19 @@ class TestChunkEdges:
         assert (tmp_path / "t.csv").read_bytes() == write_csv(trace)
         assert (tmp_path / "t.wav").read_bytes() == write_wav(trace)
 
+    @pytest.mark.parametrize("retrigger", ["level_sensitive", "one_shot"])
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("chunk, block", [(7, 1), (4097, 7), (4097, 64)])
+    def test_cli_csv_blocks_match_whole_trace(self, tmp_path, monkeypatch, capsys, chunk, block,
+                                              rate, retrigger):
+        config = SimConfig(sample_rate=rate, retrigger=retrigger, battery_present=False,
+                           switchover_delay=SWITCHOVER)
+        expected = write_csv(run(SPEC, edge_scenario(rate, chunk, False), config))
+        monkeypatch.setattr(export, "_BLOCK", block)  # CSV rows per encoded buffer
+        self.test_cli_files_match_whole_trace(tmp_path, monkeypatch, capsys, chunk, rate,
+                                              retrigger, False)
+        assert (tmp_path / "t.csv").read_bytes() == expected
+
     @given(
         rate=st.sampled_from(RATES),
         retrigger=st.sampled_from(["level_sensitive", "one_shot"]),
@@ -158,6 +177,41 @@ class TestBoundedMemory:
         (tmp_path / "t.csv").unlink()  # about 100 MB
         assert peaks[120] < 32 * 2**20
         assert peaks[120] <= 1.1 * peaks[12]
+
+    def test_csv_of_a_piece_stays_below_its_size(self):
+        line = simulator.timeline(design.CircuitSpec(),
+                                  Scenario((ScenarioEvent(0.0, "touch_start"),), 10.0), SimConfig())
+        tracemalloc.start()
+        try:
+            piece = line.render(simulator.CHUNK, 2 * simulator.CHUNK)
+            rendered = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            collections.deque(export.csv_rows(piece), maxlen=0)  # drops each block, as writelines does
+            peak = tracemalloc.get_traced_memory()[1] - rendered
+        finally:
+            tracemalloc.stop()
+        assert piece.n_samples == simulator.CHUNK and piece.speaker.all()
+        assert peak < 2 * 2**20  # the piece's CSV is 3.5 MiB
+
+    def test_csv_adds_little_to_a_wav_job(self, tmp_path):
+        (tmp_path / "touch.scn").write_text("0.5 touch_start\n3.0 touch_end\nduration 5\n")
+        wav = ["simulate", "--scenario", str(tmp_path / "touch.scn"), "--wav", str(tmp_path / "t.wav")]
+        src = str(Path(touchalarm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def peak_rss(args):
+            # Started from a small Python: a child's peak RSS counts its parent's size at the fork.
+            probe = ("import os, subprocess, sys; "
+                     "job = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                     "_, status, usage = os.wait4(job.pid, 0); "
+                     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+            out = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "touchalarm", *args],
+                                 env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+            code, kib = map(int, out.split())
+            assert code == 0
+            return kib * 1024  # Linux counts ru_maxrss in KiB
+
+        assert peak_rss([*wav, "--csv", str(tmp_path / "t.csv")]) < peak_rss(wav) + 3e6
 
 
 class TestAllOrNothing:
