@@ -17,7 +17,7 @@ _LAZY = {
             trigger_threshold verify_reference_values write_report""",
         "export": "write_csv write_wav",
         "simulator": """Scenario ScenarioEvent SimConfig Timeline Trace monte_carlo_timeout
-            parse_scenario run timeline""",
+            parse_scenario run timeline timeout_samples""",
         "units": """E6 E12 E24 E96 ESeries Quantity QuantityError format_quantity
             parse_quantity snap_preferred""",
     }.items()

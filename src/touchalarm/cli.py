@@ -48,10 +48,12 @@ class UsageError(Exception):
 
 
 _QUOTED = r"""(['"])(?:\\.|(?!\1)[^\\])*\1"""  # a value as argparse quotes it, by repr
+_BARE = r"(?s)(?<=^unrecognized arguments: ).*|(?<=^ambiguous option: ).*(?= could match )"  # or echoes it
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit directly
+        message = re.sub(_BARE, lambda m: quoted(m[0]) if len(m[0]) > QUOTE_LIMIT else m[0], message)
         raise UsageError(re.sub(_QUOTED, _cut, message))  # compiled on the first usage error
 
 

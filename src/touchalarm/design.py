@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .units import (E6, E12, ESeries, Quantity, QuantityError, format_quantity, parse_quantity, quoted,
-                    snap_preferred)
+from .units import (E6, E12, ESeries, Quantity, QuantityError, format_quantity, lines, parse_quantity,
+                    quoted, snap_preferred)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -143,7 +143,7 @@ def parse_circuit(text: str) -> CircuitSpec:
     Unknown keys are errors; omitted keys keep the stock defaults.
     """
     overrides: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -6,7 +6,7 @@ the trigger windows and the sounding segments of the two-tone siren.
 ``Timeline.render`` samples any stretch of it as a ``Trace``, so long runs
 stream in chunks; ``run`` renders it whole.
 ``monte_carlo_timeout`` spreads the trigger timing parts over a tolerance
-band with one deterministic random stream per run.
+band with one deterministic random stream per run, in bounded memory.
 
 Sampling conventions (shared with the tests' analytic oracle):
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import design
 from .design import ScenarioError, SimulationError
-from .units import quoted
+from .units import lines, quoted
 
 EVENT_KINDS = ("touch_start", "touch_end", "mains_fail", "mains_restore")
 
@@ -101,7 +101,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario lines ``<time_seconds> <event_kind>`` (+ one ``duration``)."""
     events: list[ScenarioEvent] = []
     duration = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -497,7 +497,6 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
 
 class ToleranceResult(NamedTuple):
     runs: int
-    samples: np.ndarray
     min: float = 0.0
     max: float = 0.0
     mean: float = 0.0
@@ -514,8 +513,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 
-# Runs per Monte Carlo block: bounds the temporaries to a few MiB.
-_BLOCK = 2**16
+# Studies of up to _KEEP runs keep their samples, drawn _BLOCK runs at a time (32 KiB temporaries);
+# longer ones draw each summation leaf of up to _LEAF runs twice, in one go (fewer, larger array operations).
+_BLOCK, _KEEP, _LEAF = 2**12, 2**16, 2**14
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
@@ -541,41 +541,36 @@ def _default_rng_doubles(seed: int, indices: np.ndarray, count: int) -> list[np.
     array; the result holds one array per draw, one element per index.  Call
     under ``np.errstate``: the uint32/uint64 arithmetic wraps on purpose.
     """
-    # SeedSequence entropy: seed words (little-endian, 0 is one word), index.
+    # SeedSequence entropy: seed words (little-endian, 0 is one word; scalars, shared by every run), index.
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(len(indices), w, dtype=np.uint32) for w in words] + [indices]
-    zero = np.zeros(len(indices), dtype=np.uint32)
+    entropy = [np.uint32(w) for w in words] + [indices]
 
-    hash_const = _INIT_A
+    hash_const, mult = _INIT_A, _MULT_A
 
     def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
+        hash_const = hash_const * mult & _MASK32
         value = value * hash_const
         return value ^ (value >> 16)
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0)) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
                 pool[dst] = mixed ^ (mixed >> 16)
 
-    # generate_state(4, uint64): eight words cycling over the pool.
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
-    s0, s1, s2, s3 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    # generate_state(4, uint64): eight words cycling over the pool, hashed in order, in pairs.
+    hash_const, mult = _INIT_B, _MULT_B
+    s0, s1, s2, s3 = (hashmix(pool[k]).astype(np.uint64) | hashmix(pool[k + 1]).astype(np.uint64) << 32
+                      for k in (0, 2, 0, 2))
 
     # PCG64 seeding: inc = (s2:s3) << 1 | 1; state 0, step, add (s0:s1), step.
     inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
     lo = inc_lo + s1
     hi, lo = _pcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    del pool, mixed, s0, s1, s2, s3  # a smaller peak while drawing
 
     doubles = []
     for _ in range(count):
@@ -586,47 +581,80 @@ def _default_rng_doubles(seed: int, indices: np.ndarray, count: int) -> list[np.
     return doubles
 
 
+def timeout_samples(spec: design.CircuitSpec, rel_tolerance: float, seed: int, i0: int, i1: int,
+                    block: int = _BLOCK) -> np.ndarray:
+    """Runs ``i0 <= i < i1 <= MAX_RUNS`` of ``monte_carlo_timeout(spec, rel_tolerance, runs, seed)``,
+    drawn ``block`` runs at a time."""
+    spec.validate()
+    if not (isinstance(rel_tolerance, (int, float)) and 0.0 < rel_tolerance < 1.0):
+        raise SimulationError(f"rel_tolerance must be in (0, 1), got {rel_tolerance!r}")
+    if not (all(isinstance(x, int) for x in (i0, i1, block)) and 0 <= i0 <= i1 <= MAX_RUNS and block > 0):
+        raise SimulationError(f"runs {i0!r}..{i1!r} in blocks of {block!r}: not within 0..{MAX_RUNS}")
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    r3_lo, r3_hi = spec.r3 * (1.0 - rel_tolerance), spec.r3 * (1.0 + rel_tolerance)
+    c2_lo, c2_hi = spec.c2 * (1.0 - rel_tolerance), spec.c2 * (1.0 + rel_tolerance)
+    samples = np.empty(i1 - i0, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for start in range(i0, i1, block):
+            stop = min(start + block, i1)
+            u1, u2 = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32), 2)
+            r3 = r3_lo + (r3_hi - r3_lo) * u1
+            c2 = c2_lo + (c2_hi - c2_lo) * u2
+            if not np.all(r3 > 0):
+                raise design.DesignError("r: must be > 0, got 0.0")
+            samples[start - i0:stop - i0] = 1.1 * r3 * c2
+    return samples
+
+
+def _pairwise(leaf_sum, i0: int, n: int):
+    """numpy's pairwise sum of runs ``i0..i0+n``, split as numpy splits above ``_LEAF`` (>= 128)."""
+    if n <= _LEAF:
+        return leaf_sum(i0, i0 + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(leaf_sum, i0, half) + _pairwise(leaf_sum, i0 + half, n - half)
+
+
 def monte_carlo_timeout(
     spec: design.CircuitSpec, rel_tolerance: float, runs: int, seed: int
 ) -> ToleranceResult:
     """Sample the trigger timeout with r3 and c2 drawn from a tolerance band.
 
-    Run ``i`` draws r3 and then c2 uniformly from
-    [nominal·(1−tol), nominal·(1+tol)], with the same two doubles and the
-    same arithmetic as ``np.random.default_rng((seed, i)).uniform`` followed
-    by ``design.monostable_period(r3, c2, "approx")``, so every sample is
+    Run ``i`` draws r3 and then c2 uniformly from [nominal·(1−tol),
+    nominal·(1+tol)], with the same two doubles and the same arithmetic as
+    ``np.random.default_rng((seed, i)).uniform`` followed by
+    ``design.monostable_period(r3, c2, "approx")``, so every sample is
     bit-identical to a per-run generator loop and independent of execution
     order.  The generators are not built: numpy's SeedSequence mixing and
     PCG64 seeding and stepping are computed in uint32/uint64 array
-    arithmetic over blocks of run indices.  Raises ``design.DesignError``
-    when a sample or a summary statistic is not finite.
+    arithmetic by ``timeout_samples``, which also checks ``rel_tolerance``.
+    Mean and stddev replay numpy's pairwise summation bit for bit.  Raises
+    ``design.DesignError`` when a sample or statistic is not finite.
     """
     spec.validate()
     if not isinstance(runs, int) or runs < 1:
         raise SimulationError(f"runs must be >= 1, got {runs!r}")
     if runs > MAX_RUNS:
         raise SimulationError(f"{runs} Monte Carlo runs requested, over the limit of {MAX_RUNS}")
-    if not (isinstance(rel_tolerance, (int, float)) and 0.0 < rel_tolerance < 1.0):
-        raise SimulationError(f"rel_tolerance must be in (0, 1), got {rel_tolerance!r}")
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
 
-    r3_lo, r3_hi = spec.r3 * (1.0 - rel_tolerance), spec.r3 * (1.0 + rel_tolerance)
-    c2_lo, c2_hi = spec.c2 * (1.0 - rel_tolerance), spec.c2 * (1.0 + rel_tolerance)
-    samples = np.empty(runs, dtype=np.float64)
+    kept = timeout_samples(spec, rel_tolerance, seed, 0, runs) if runs <= _KEEP else None
+    if kept is None:  # a freed 2 MiB mapping lifts glibc's trim threshold to 4 MiB: leaves reuse heap pages
+        np.empty(2**18)
+    extremes = []  # each leaf's min and max
+
+    def leaf(i0: int, i1: int) -> np.ndarray:
+        return timeout_samples(spec, rel_tolerance, seed, i0, i1, _LEAF) if kept is None else kept[i0:i1]
+
+    def total(i0: int, i1: int):
+        samples = leaf(i0, i1)
+        extremes.extend((samples.min(), samples.max()))
+        return np.add.reduce(samples)
+
     with np.errstate(all="ignore"):
-        for start in range(0, runs, _BLOCK):
-            stop = min(start + _BLOCK, runs)
-            u1, u2 = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32), 2)
-            r3 = r3_lo + (r3_hi - r3_lo) * u1
-            c2 = c2_lo + (c2_hi - c2_lo) * u2
-            if not np.all(r3 > 0):
-                raise design.DesignError("r: must be > 0, got 0.0")
-            samples[start:stop] = 1.1 * r3 * c2
-        stats = [float(samples.min()), float(samples.max()),
-                 float(samples.mean()), float(samples.std())]
+        mean = _pairwise(total, 0, runs) / runs
+        squares = _pairwise(lambda i0, i1: np.add.reduce(np.square(leaf(i0, i1) - mean)), 0, runs)
+        stats = [float(np.min(extremes)), float(np.max(extremes)), float(mean), math.sqrt(squares / runs)]
     if not all(math.isfinite(x) for x in stats):
         raise design.DesignError(
             "trigger timeout samples overflow: min={:g} max={:g} mean={:g} stddev={:g}".format(*stats)
         )
-    low, high, mean, stddev = stats
-    return ToleranceResult(runs=runs, samples=samples, min=low, max=high, mean=mean, stddev=stddev)
+    return ToleranceResult(runs, *stats)

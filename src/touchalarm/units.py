@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 UNIT_SYMBOLS = {
     "ohm": "Ω",
@@ -50,6 +50,7 @@ _UNIT_SPELLINGS_BY_LENGTH = sorted(_UNIT_SPELLINGS, key=len, reverse=True)
 
 # Longest input text that an error message quotes whole.
 QUOTE_LIMIT = 80
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # where str.splitlines cuts
 
 
 def quoted(text: str) -> str:
@@ -57,6 +58,15 @@ def quoted(text: str) -> str:
     if len(text) <= QUOTE_LIMIT:
         return repr(text)
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def lines(text: str, piece: int = 2**16) -> Iterator[str]:
+    """``text.splitlines()``, in pieces that each run to the first line end after ``piece`` characters."""
+    start = 0
+    while start < len(text):
+        end = found.end() if (found := _LINE_END.search(text, start + piece)) else len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 class QuantityError(ValueError):

@@ -28,6 +28,7 @@ from touchalarm.simulator import (
     SimConfig,
     monte_carlo_timeout,
     run,
+    timeout_samples,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,11 +155,12 @@ def test_criterion_07_pass_line():
 def test_criterion_08_tolerance_study():
     started = time.monotonic()
     result = monte_carlo_timeout(SPEC, rel_tolerance=0.10, runs=10000, seed=42)
+    samples = timeout_samples(SPEC, 0.10, 42, 0, 10000)
     nominal = 1.1 * SPEC.r3 * SPEC.c2
-    assert np.all(result.samples >= nominal * 0.81)
-    assert np.all(result.samples <= nominal * 1.21)
-    assert np.all(result.samples >= 9.213)
-    assert np.all(result.samples <= 13.762)
+    assert np.all(samples >= nominal * 0.81)
+    assert np.all(samples <= nominal * 1.21)
+    assert np.all(samples >= 9.213)
+    assert np.all(samples <= 13.762)
     assert result.contains(10.60)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

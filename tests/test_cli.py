@@ -11,7 +11,7 @@ import pytest
 import touchalarm
 from touchalarm import cli, simulator
 from touchalarm.cli import main
-from touchalarm.units import quoted
+from touchalarm.units import QUOTE_LIMIT, quoted
 
 TOUCH_SCENARIO = "1.0 touch_start\n1.2 touch_end\nduration 13\n"
 
@@ -543,6 +543,28 @@ class TestQuotedInputIsCut:
         monkeypatch.setattr(cli, "_QUOTED", "(?!)")  # a pattern that matches nothing
         assert cut == stderr(at_limit)  # argparse's message, byte for byte
         assert repr(at_limit) in cut
+
+    # argparse echoes these values bare, without quotes
+    @pytest.mark.parametrize("argv, prefix", [
+        (["snap", "1", "VALUE"], ""),
+        (["snap", "1", "--series", "E6", "VALUE"], ""),
+        (["simulate", "--scenario", "s.scn", "--wav", "t.wav", "--c=VALUE"], "--c="),
+    ], ids=["unrecognized", "unrecognized-after-flags", "ambiguous"])
+    def test_usage_error_cuts_a_bare_value(self, argv, prefix, monkeypatch, capsys):
+        def stderr(value):
+            assert main([arg.replace("VALUE", value) for arg in argv]) == 2
+            return capsys.readouterr().err
+
+        err = stderr(LONG[:5000])
+        assert err.startswith(("usage error: unrecognized arguments: '", "usage error: ambiguous option: '"))
+        assert quoted(prefix + LONG[:5000]) in err and err.count("\n") == 1 and len(err) < 400
+
+        at_limit = "x" * (QUOTE_LIMIT - len(prefix))
+        assert quoted(prefix + at_limit + "y") in stderr(at_limit + "y")
+        bare = stderr(at_limit)
+        assert f" {prefix}{at_limit}" in bare and "'" not in bare
+        monkeypatch.setattr(cli, "_BARE", "(?!)")  # a pattern that matches nothing
+        assert bare == stderr(at_limit)  # up to the limit: argparse's message, byte for byte
 
 
 class TestUsage:

@@ -25,6 +25,7 @@ from touchalarm.simulator import (
     monte_carlo_timeout,
     parse_scenario,
     run,
+    timeout_samples,
 )
 
 SPEC = CircuitSpec()
@@ -700,21 +701,36 @@ def assert_bit_identical(actual, expected):
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
+def numpy_stats(samples):
+    """min, max, mean and stddev as numpy computes them over the whole array."""
+    return np.array([samples.min(), samples.max(), samples.mean(), samples.std()])
+
+
+def assert_stats_match(result, samples):
+    stats = np.array([result.min, result.max, result.mean, result.stddev])
+    assert_bit_identical(stats, numpy_stats(samples))
+
+
 class TestMonteCarloMatchesGenerators:
     """Block computation against one ``default_rng((seed, i))`` per run."""
 
-    # 6 × 17000 = 102000 (seed, index) pairs, over blocks of 4096 runs
+    # 6 × 17000 = 102000 (seed, index) pairs, drawn in blocks of 1000 runs.
+    # The statistics are checked with summation leaves of at most 1000 runs
+    # (which must be >= 128), from the kept samples and drawn again per leaf.
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 - 1, -7])
     def test_bit_identical(self, monkeypatch, seed):
-        monkeypatch.setattr(simulator, "_BLOCK", 4096)
-        result = monte_carlo_timeout(SPEC, 0.10, 17000, seed)
-        assert_bit_identical(result.samples, reference_samples(SPEC, 0.10, seed, range(17000)))
+        samples = timeout_samples(SPEC, 0.10, seed, 0, 17000, block=1000)
+        assert_bit_identical(samples, reference_samples(SPEC, 0.10, seed, range(17000)))
+        monkeypatch.setattr(simulator, "_LEAF", 1000)
+        assert_stats_match(monte_carlo_timeout(SPEC, 0.10, 17000, seed), samples)
+        monkeypatch.setattr(simulator, "_KEEP", 0)
+        assert_stats_match(monte_carlo_timeout(SPEC, 0.10, 17000, seed), samples)
 
     def test_across_the_default_block_boundary(self):
         runs = simulator._BLOCK + 40
-        samples = monte_carlo_timeout(SPEC, 0.10, runs, 123).samples
         edge = range(simulator._BLOCK - 40, runs)
-        assert_bit_identical(samples[edge.start:], reference_samples(SPEC, 0.10, 123, edge))
+        assert_bit_identical(timeout_samples(SPEC, 0.10, 123, 0, runs)[edge.start:],
+                             reference_samples(SPEC, 0.10, 123, edge))
 
     @given(
         r3=st.floats(min_value=1.0, max_value=1e9),
@@ -726,8 +742,9 @@ class TestMonteCarloMatchesGenerators:
     @settings(max_examples=40, deadline=None)
     def test_property(self, r3, c2, tol, seed, runs):
         spec = CircuitSpec(r3=r3, c2=c2)
-        result = monte_carlo_timeout(spec, tol, runs, seed)
-        assert_bit_identical(result.samples, reference_samples(spec, tol, seed, range(runs)))
+        samples = reference_samples(spec, tol, seed, range(runs))
+        assert_bit_identical(timeout_samples(spec, tol, seed, 0, runs), samples)
+        assert_stats_match(monte_carlo_timeout(spec, tol, runs, seed), samples)
 
     def test_zero_resistor_draw_is_a_design_error(self):
         # r3·(1 − tol) underflows to 0, so some draws are exactly 0 ohm
@@ -738,6 +755,43 @@ class TestMonteCarloMatchesGenerators:
             monte_carlo_timeout(spec, 0.9, 100, 0)
 
 
+# Around the draw blocks (_BLOCK = 2**12 runs), the summation leaves (at
+# most _LEAF = 2**14 runs), numpy's own 128-item blocks and the kept-samples
+# limit (_KEEP = 2**16), the bench job sizes, a prime-ish odd size and MAX_RUNS.
+STAT_RUNS = [1, 127, 128, 129, 2**12 - 1, 2**12, 2**12 + 1, 14000, 16000, 2**14, 2**14 + 1,
+             2**16 - 1, 2**16, 2**16 + 1, 2**16 + 8, 1_000_003, 2**22]
+
+
+class TestMonteCarloStatistics:
+    """The streamed statistics against numpy's over the whole regenerated array.
+
+    ``monte_carlo_timeout`` replays numpy's pairwise summation.  If a numpy
+    release sums differently, these tests fail: that is their purpose, so do
+    not loosen them.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("runs", STAT_RUNS)
+    def test_bit_identical_to_numpy(self, runs, seed):
+        assert_stats_match(monte_carlo_timeout(SPEC, 0.10, runs, seed),
+                           timeout_samples(SPEC, 0.10, seed, 0, runs))
+
+    # stddev overflows; every sample is inf (mean inf, stddev nan); some
+    # samples are inf; the sum overflows while every sample is finite
+    @pytest.mark.parametrize("circuit", [CircuitSpec(r3=1e308), CircuitSpec(r3=1e160, c2=1e150),
+                                         CircuitSpec(r3=1.45e308, c2=1.0), CircuitSpec(r3=1e305, c2=1.0)],
+                             ids=["stddev-inf", "all-inf", "some-inf", "sum-inf"])
+    @pytest.mark.parametrize("runs", [100, 5000, 70000])
+    def test_overflow_message_is_numpy_s(self, circuit, runs):
+        with np.errstate(all="ignore"):
+            stats = numpy_stats(timeout_samples(circuit, 0.10, 9, 0, runs))
+        assert not np.isfinite(stats).all()
+        with pytest.raises(DesignError) as error:
+            monte_carlo_timeout(circuit, 0.10, runs, 9)
+        assert str(error.value) == (
+            "trigger timeout samples overflow: min={:g} max={:g} mean={:g} stddev={:g}".format(*stats))
+
+
 class TestMonteCarlo:
     def test_interval_bound(self):
         result = monte_carlo_timeout(SPEC, 0.10, 2000, 7)
@@ -746,7 +800,7 @@ class TestMonteCarlo:
         assert result.min >= lo
         assert result.max <= hi
         assert result.min <= result.mean <= result.max
-        assert len(result.samples) == result.runs == 2000
+        assert result.runs == 2000
 
     def test_contains_measured_timeout(self):
         result = monte_carlo_timeout(SPEC, 0.10, 10000, 42)
@@ -764,15 +818,14 @@ class TestMonteCarlo:
         assert result.max == pytest.approx(11.374, rel=1e-9)
 
     def test_deterministic_and_order_independent_seeding(self):
-        a = monte_carlo_timeout(SPEC, 0.10, 500, 42)
-        b = monte_carlo_timeout(SPEC, 0.10, 500, 42)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        # the first runs of a longer study are identical: per-run generators
-        c = monte_carlo_timeout(SPEC, 0.10, 600, 42)
-        np.testing.assert_array_equal(a.samples, c.samples[:500])
-        assert not np.array_equal(
-            a.samples, monte_carlo_timeout(SPEC, 0.10, 500, 43).samples
-        )
+        assert monte_carlo_timeout(SPEC, 0.10, 500, 42) == monte_carlo_timeout(SPEC, 0.10, 500, 42)
+        a = timeout_samples(SPEC, 0.10, 42, 0, 500)
+        np.testing.assert_array_equal(a, timeout_samples(SPEC, 0.10, 42, 0, 500))
+        # the first runs of a longer study are identical, and any range of runs
+        # regenerates on its own: per-run generators
+        np.testing.assert_array_equal(a, timeout_samples(SPEC, 0.10, 42, 0, 600)[:500])
+        np.testing.assert_array_equal(a[123:456], timeout_samples(SPEC, 0.10, 42, 123, 456))
+        assert not np.array_equal(a, timeout_samples(SPEC, 0.10, 43, 0, 500))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(SimulationError):
@@ -781,6 +834,18 @@ class TestMonteCarlo:
             monte_carlo_timeout(SPEC, 0.0, 10, 1)
         with pytest.raises(SimulationError):
             monte_carlo_timeout(SPEC, 1.0, 10, 1)
+
+    @pytest.mark.parametrize("tol, i0, i1, block", [
+        (0.1, -1, 5, 4), (0.1, 5, 4, 4), (0.1, 0, simulator.MAX_RUNS + 1, 4), (0.1, 0, 2**64, 4),
+        (0.1, 0.0, 5, 4), (0.1, 0, 5, 0), (0.1, 0, 5, -1), (0.1, 0, 5, 2.0), (0.0, 0, 5, 4), (1.0, 0, 5, 4)])
+    def test_timeout_samples_rejects_bad_parameters(self, tol, i0, i1, block):
+        with pytest.raises(SimulationError, match=r"^(rel_tolerance must be in \(0, 1\)|runs .* not within 0\.\.)"):
+            timeout_samples(SPEC, tol, 1, i0, i1, block)
+
+    def test_timeout_samples_validates_the_spec(self):
+        with pytest.raises(DesignError, match="r3: must be > 0"):
+            timeout_samples(CircuitSpec(r3=0.0), 0.1, 1, 0, 5)
+        assert len(timeout_samples(SPEC, 0.1, 1, 7, 7)) == 0
 
     @given(tol=st.floats(min_value=0.01, max_value=0.5), seed=st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import touchalarm
-from touchalarm import design, export, simulator
+from touchalarm import cli, design, export, simulator
 from touchalarm.cli import main
 from touchalarm.export import write_csv, write_wav
 from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, run
@@ -165,6 +165,35 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
+MB = 2**20
+
+
+def job_usage(args, address_kib=None):
+    """Peak RSS in bytes and minor page faults of ``python -m touchalarm args``, which must exit 0.
+
+    It is started from a small Python: a child's peak RSS counts its parent's
+    size at the fork.  ``address_kib`` limits its address space (``ulimit -v``).
+    """
+    src = str(Path(touchalarm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    job = [sys.executable, "-m", "touchalarm", *args]
+    if address_kib is not None:
+        job = ["sh", "-c", f'ulimit -v {address_kib} && exec "$0" "$@"', *job]
+    probe = ("import os, subprocess, sys; "
+             "job = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+             "_, status, usage = os.wait4(job.pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)")
+    out = subprocess.run([sys.executable, "-c", probe, *job],
+                         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    code, kib, minflt = map(int, out.split())
+    assert code == 0
+    return kib * 1024, minflt  # Linux counts ru_maxrss in KiB
+
+
+def peak_rss(args, address_kib=None):
+    return job_usage(args, address_kib)[0]
+
+
 class TestBoundedMemory:
     def test_peak_does_not_grow_with_duration(self, tmp_path, capsys):
         peaks = {}
@@ -196,22 +225,33 @@ class TestBoundedMemory:
     def test_csv_adds_little_to_a_wav_job(self, tmp_path):
         (tmp_path / "touch.scn").write_text("0.5 touch_start\n3.0 touch_end\nduration 5\n")
         wav = ["simulate", "--scenario", str(tmp_path / "touch.scn"), "--wav", str(tmp_path / "t.wav")]
-        src = str(Path(touchalarm.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-        def peak_rss(args):
-            # Started from a small Python: a child's peak RSS counts its parent's size at the fork.
-            probe = ("import os, subprocess, sys; "
-                     "job = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
-                     "_, status, usage = os.wait4(job.pid, 0); "
-                     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-            out = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "touchalarm", *args],
-                                 env=env, capture_output=True, text=True, timeout=60, check=True).stdout
-            code, kib = map(int, out.split())
-            assert code == 0
-            return kib * 1024  # Linux counts ru_maxrss in KiB
-
         assert peak_rss([*wav, "--csv", str(tmp_path / "t.csv")]) < peak_rss(wav) + 3e6
+
+    def test_tolerance_runs_add_little(self):
+        # holding the samples, std()'s copy of them and 2**16-run blocks would add about 3.9 MB
+        assert peak_rss(["tolerance", "--runs", "16000"]) < peak_rss(["tolerance", "--runs", "1"]) + 1.5 * MB
+
+    def test_tolerance_at_the_run_limit(self):
+        # Holding every sample and std()'s copy of them would take about 104 MB.  Handing
+        # each redrawn leaf's heap pages back and faulting them in again would take about
+        # 400 000 minor faults and 1.7 × the time: about 5 100 with the pages reused.
+        peak, faults = job_usage(["tolerance", "--runs", str(simulator.MAX_RUNS)])
+        assert peak < 45 * MB
+        assert faults < 50_000
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "\u2028"], ids=["lf", "cr", "crlf", "ls"])
+    def test_design_parses_a_4_mib_circuit_in_bounded_memory(self, tmp_path, end):
+        # every line object at once would take about 121 MB: a MemoryError under the limit
+        path = tmp_path / "comments.circ"
+        line = f"#a{end}".encode()
+        path.write_bytes(line * (cli.MAX_INPUT_BYTES // len(line)))
+        assert peak_rss(["design", str(path)], address_kib=65536) < 40 * MB
+
+    def test_simulate_parses_a_4_mib_scenario_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "comments.scn"
+        text = "1.0 touch_start\n2.0 touch_end\n"
+        path.write_text(text + "#a\n" * ((cli.MAX_INPUT_BYTES - len(text)) // 3))
+        assert peak_rss(["simulate", "--scenario", str(path), "--wav", str(tmp_path / "t.wav")]) < 60 * MB
 
 
 class TestAllOrNothing:

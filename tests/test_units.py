@@ -18,6 +18,7 @@ from touchalarm.units import (
     QuantityError,
     format_number,
     format_quantity,
+    lines,
     parse_number,
     parse_quantity,
     quoted,
@@ -119,6 +120,24 @@ class TestQuoted:
     def test_longer_text_is_cut_and_marked(self):
         text = "ab" * QUOTE_LIMIT
         assert quoted(text) == f"{text[:QUOTE_LIMIT]!r}... ({2 * QUOTE_LIMIT} characters)"
+
+
+# Every separator ``str.splitlines`` knows, "\r\n" as one, plus line text.
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLines:
+    @given(parts=st.lists(st.sampled_from([*SEPARATORS, "", "a", "key = 1k", "#"]), max_size=60),
+           piece=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_same_lines_as_splitlines(self, parts, piece):
+        text = "".join(parts)
+        assert list(lines(text, piece)) == text.splitlines()  # many cuts in a short text
+
+    @pytest.mark.parametrize("text", ["", "\n", "no break", "a\r\nb", "x" * 200_000, "#a\n" * 100_000,
+                                      "#a\r" * 100_000, "x" * (2**16 - 1) + "\r\nb", "#a\u2028" * 100_000])
+    def test_default_piece(self, text):
+        assert list(lines(text)) == text.splitlines()
 
 
 class TestFormatQuantity:
