@@ -1,10 +1,10 @@
 """Deterministic behavioral simulation of the alarm system.
 
-``timeline`` turns a scenario of touch and mains events into intervals and
-an exact-time event log: the relay changeover (with its switchover delay),
-the trigger windows and the sounding segments of the two-tone siren.
-``Timeline.render`` samples any stretch of it as a ``Trace``, so long runs
-stream in chunks; ``run`` renders it whole.
+``timeline`` turns a scenario of touch and mains events into intervals: the
+relay changeover (with its switchover delay), the trigger windows and the
+sounding segments of the two-tone siren.  ``Timeline.log`` derives the
+exact-time event log from them on demand, and ``Timeline.render`` samples any
+stretch as a ``Trace``, so long runs stream in chunks; ``run`` renders it whole.
 ``monte_carlo_timeout`` spreads the trigger timing parts over a tolerance
 band with one deterministic random stream per run, in bounded memory.
 
@@ -25,6 +25,7 @@ Sampling conventions (shared with the tests' analytic oracle):
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import sys
 from collections.abc import Iterator
@@ -171,8 +172,8 @@ class TraceEvent(NamedTuple):
 class Trace(NamedTuple):
     """Samples ``start..start + n_samples`` of the node waveforms, on the grid ``k / sample_rate``.
 
-    A piece of a longer run holds that run's ``amplitude``, exact-time event
-    log, ``alarm_windows`` and ``sounding_intervals``, not just its own.
+    A piece of a longer run holds that run's ``amplitude``, ``alarm_windows``
+    and ``sounding_intervals``, not just its own (no event log: ``Timeline.log()``).
     """
 
     sample_rate: int
@@ -182,7 +183,6 @@ class Trace(NamedTuple):
     carrier_freq: np.ndarray
     speaker: np.ndarray
     amplitude: float
-    events: tuple[TraceEvent, ...]
     alarm_windows: tuple[tuple[float, float], ...]
     sounding_intervals: tuple[tuple[float, float], ...]
     start: int = 0
@@ -234,11 +234,12 @@ def _overlapping(intervals: tuple, first: float, last: float) -> tuple:
 
 
 class Timeline(NamedTuple):
-    """A simulated scenario as intervals and an event log, before sampling.
+    """A simulated scenario as intervals, before sampling.
 
     All three interval lists are sorted and disjoint.  ``render`` samples any
     stretch of the grid; pieces rendered over any cut points concatenate to
-    exactly ``render(0, n_samples)``.
+    exactly ``render(0, n_samples)``.  ``log()`` merges the modulator edges
+    into ``notes``, the O(breakpoints) log entries that give each cause.
     """
 
     sample_rate: int
@@ -248,7 +249,7 @@ class Timeline(NamedTuple):
     off_spans: tuple[tuple[float, float], ...]  # supply off on (a, b]
     segments: tuple[tuple[float, float, str, str], ...]  # sounding (ref, end, on, off)
     sounding_intervals: tuple[tuple[float, float], ...]  # segments clipped to the scenario
-    events: tuple[TraceEvent, ...]
+    notes: tuple[TraceEvent, ...]  # time-ordered, none past the duration
     modulator: design.AstableTimes
     carrier_pair: tuple[float, float]  # (modulator high, modulator low)
     amplitude: float
@@ -257,8 +258,25 @@ class Timeline(NamedTuple):
     def sounding_seconds(self) -> float:
         return sum(end - start for start, end in self.sounding_intervals)
 
+    def log(self) -> Iterator[TraceEvent]:
+        """The exact-time event log, time-ordered; at equal times notes come before modulator edges."""
+        return heapq.merge(self.notes, self._edges(), key=itemgetter(0))
+
+    def _edges(self) -> Iterator[TraceEvent]:
+        """Each sounding segment's modulator edges before the duration, the phase restarting at ref."""
+        for ref, end, _on, _off in self.segments:
+            state_high, toggle, stop = True, ref, min(end, self.duration)
+            while True:
+                toggle += self.modulator.t1 if state_high else self.modulator.t2
+                if toggle >= stop:
+                    break
+                state_high = not state_high
+                yield TraceEvent(toggle, f"modulator {'high' if state_high else 'low'}")
+
     def render(self, i0: int, i1: int) -> Trace:
         """Samples ``i0..i1`` as a ``Trace`` starting at ``i0``: one slice per overlapping interval."""
+        if not (isinstance(i0, int) and isinstance(i1, int) and 0 <= i0 <= i1 <= self.n_samples):
+            raise SimulationError(f"samples {i0!r}..{i1!r} are not within 0..{self.n_samples}")
         times = np.arange(i0, i1, dtype=np.float64)
         np.divide(times, self.sample_rate, out=times)
         n = len(times)
@@ -268,7 +286,7 @@ class Timeline(NamedTuple):
         carrier = np.zeros(n, dtype=np.float64)
         speaker = np.zeros(n, dtype=np.float64)
         piece = Trace(self.sample_rate, supply, trigger, modulator_high, carrier, speaker,
-                      self.amplitude, self.events, self.alarm_windows, self.sounding_intervals, i0)
+                      self.amplitude, self.alarm_windows, self.sounding_intervals, i0)
         if n == 0:
             return piece
         first, last = float(times[0]), float(times[-1])
@@ -377,7 +395,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
         raise design.DesignError(
             f"siren amplitude sqrt({power.p_out:g} W * {spec.speaker_impedance:g} Ω) is not finite")
 
-    log: list[TraceEvent] = [
+    notes: list[TraceEvent] = [
         TraceEvent(event.time, f"event {event.kind}") for event in scenario.events
     ]
 
@@ -386,7 +404,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     for start, end in _pairs(scenario.events, "touch_start", "touch_end"):
         if config.retrigger == "one_shot":
             if windows and start < windows[-1][1]:
-                log.append(TraceEvent(start, "retrigger ignored (one-shot window active)"))
+                notes.append(TraceEvent(start, "retrigger ignored (one-shot window active)"))
                 continue
             windows.append([start, start + timeout, "timeout"])
         else:
@@ -397,12 +415,12 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
                 if candidate_end > windows[-1][1]:
                     windows[-1][1] = candidate_end
                     windows[-1][2] = cause
-                log.append(TraceEvent(start, "alarm window extended (retrigger)"))
+                notes.append(TraceEvent(start, "alarm window extended (retrigger)"))
             else:
                 windows.append([start, candidate_end, cause])
     for start, end, cause in windows:
-        log.append(TraceEvent(start, "trigger high (touch)"))
-        log.append(TraceEvent(end, f"trigger low ({cause})"))
+        notes.append(TraceEvent(start, "trigger high (touch)"))
+        notes.append(TraceEvent(end, f"trigger low ({cause})"))
 
     # --- supply-off spans (a, b] ----------------------------------------------
     # Relay gaps plus, without a battery, each outage; an outage that is
@@ -421,8 +439,8 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
                 else "supply off (mains failed, no battery)"
         else:
             what = "supply off (mains restored, relay switching)"
-        log.append(TraceEvent(a, what))
-        log.append(TraceEvent(b, "supply on (switchover complete)"))
+        notes.append(TraceEvent(a, what))
+        notes.append(TraceEvent(b, "supply on (switchover complete)"))
 
     # --- sounding segments (ref, end, on, off): each window minus the off spans
     # ref is the modulator phase reference: the window start or a span end;
@@ -440,7 +458,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
         if cursor < window_end:
             segments.append((cursor, window_end, on, "window closed"))
 
-    # Each segment logs at most two modulator edges per period, plus one.
+    # Each segment logs at most two modulator edges per period, plus one (``Timeline.log``).
     edges = sum(
         2 * (min(end, scenario.duration) - ref) / modulator.period + 1
         for ref, end, _on, _off in segments
@@ -453,19 +471,9 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
         )
 
     for ref, end, on, off in segments:
-        log.append(TraceEvent(ref, f"siren on ({on}, modulator phase reset)"))
-        log.append(TraceEvent(end, f"siren off ({off})"))
-        state_high = True
-        toggle = ref
-        while True:
-            toggle += modulator.t1 if state_high else modulator.t2
-            if toggle >= min(end, scenario.duration):
-                break
-            state_high = not state_high
-            log.append(TraceEvent(toggle, f"modulator {'high' if state_high else 'low'}"))
-
-    log.sort(key=lambda entry: entry.time)
-    log = [entry for entry in log if entry.time <= scenario.duration]
+        notes.append(TraceEvent(ref, f"siren on ({on}, modulator phase reset)"))
+        notes.append(TraceEvent(end, f"siren off ({off})"))
+    notes.sort(key=itemgetter(0))
 
     return Timeline(
         sample_rate=config.sample_rate,
@@ -479,7 +487,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
             for ref, end, _on, _off in segments
             if ref < scenario.duration
         ),
-        events=tuple(log),
+        notes=tuple(note for note in notes if note.time <= scenario.duration),
         modulator=modulator,
         carrier_pair=(freq_mod_high, freq_mod_low),
         amplitude=amplitude,

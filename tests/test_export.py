@@ -39,7 +39,6 @@ def make_trace(n, sample_rate=16000, speaker=None, amplitude=0.0, **channels):
         carrier_freq=channels.get("carrier_freq", zeros_f.copy()),
         speaker=zeros_f.copy() if speaker is None else np.asarray(speaker, dtype=np.float64),
         amplitude=amplitude,
-        events=(),
         alarm_windows=(),
         sounding_intervals=(),
     )
@@ -89,7 +88,6 @@ def table_trace(n, sample_rate=16000, carrier=None, speaker=None, seed=0):
         carrier_freq=np.asarray(carrier, dtype=np.float64),
         speaker=np.asarray(speaker, dtype=np.float64),
         amplitude=6.335,
-        events=(),
         alarm_windows=(),
         sounding_intervals=(),
     )
@@ -236,7 +234,6 @@ class TestCsvMatchesReference:
             carrier_freq=carrier.astype(np.float64),
             speaker=speaker.astype(np.float64),
             amplitude=6.335,
-            events=(),
             alarm_windows=(),
             sounding_intervals=(),
         )
@@ -269,7 +266,7 @@ class TestCsvRowsOfChunks:
     @pytest.mark.parametrize("boundary", [10, 100])
     @pytest.mark.parametrize("sample_rate", [16000, 44100, 8192])
     def test_time_cells_widen_inside_a_chunk(self, sample_rate, boundary, before):
-        line = held_touch(boundary + 1, sample_rate=sample_rate)
+        line = held_touch(boundary + 4, sample_rate=sample_rate)  # the chunk ends before 3 s past it
         i0 = boundary * sample_rate - before
         chunk = line.render(i0, i0 + 3 * 8192 + 5)
         rows = self.assert_matches_reference(chunk, sample_rate).splitlines()[1:]

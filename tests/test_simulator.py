@@ -1,5 +1,6 @@
 """Simulation engine against the analytic timeline oracle, plus Monte Carlo."""
 
+import bisect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +48,10 @@ def assert_matches_oracle(scenario, config):
     np.testing.assert_array_equal(trace.carrier_freq, np.asarray(carrier))
     np.testing.assert_array_equal(trace.speaker, np.asarray(speaker))
     return trace
+
+
+def _log(scenario, config=SimConfig()):
+    return list(simulator.timeline(SPEC, scenario, config).log())
 
 
 class TestScenarioParsing:
@@ -180,8 +185,8 @@ class TestOracleEquivalence:
             (1.0, "touch_start"), (5.0, "mains_fail"), (7.0, "mains_restore"),
             (9.0, "mains_fail"), (9.0, "mains_restore"), duration=14.0
         )
-        trace = assert_matches_oracle(scenario, config)
-        supply_lines = [e for e in trace.events if e.what.startswith("supply")]
+        assert_matches_oracle(scenario, config)
+        supply_lines = [e for e in _log(scenario, config) if e.what.startswith("supply")]
         assert supply_lines == ([] if battery else [
             TraceEvent(5.0, "supply off (mains failed, no battery)"),
             TraceEvent(7.0, "supply on (switchover complete)"),
@@ -221,12 +226,35 @@ EVENT_LOG_CASES = {
 }
 
 
+def reference_log(whole):
+    """The event log as ``timeline`` built it before ``Timeline.log``, kept as its reference.
+
+    The notes other than the siren's, then each segment's siren on and off
+    followed by its modulator edges, stable-sorted by time and cut at the
+    duration.
+    """
+    log = [note for note in whole.notes if not note.what.startswith("siren")]
+    for ref, end, on, off in whole.segments:
+        log.append(TraceEvent(ref, f"siren on ({on}, modulator phase reset)"))
+        log.append(TraceEvent(end, f"siren off ({off})"))
+        state_high = True
+        toggle = ref
+        while True:
+            toggle += whole.modulator.t1 if state_high else whole.modulator.t2
+            if toggle >= min(end, whole.duration):
+                break
+            state_high = not state_high
+            log.append(TraceEvent(toggle, f"modulator {'high' if state_high else 'low'}"))
+    log.sort(key=lambda entry: entry.time)
+    return [entry for entry in log if entry.time <= whole.duration]
+
+
 def render_event_logs() -> str:
-    """Every case's ``Trace.events`` as ``[name]`` blocks of ``repr(time)<TAB>what``."""
+    """Every case's ``Timeline.log()`` as ``[name]`` blocks of ``repr(time)<TAB>what``."""
     blocks = []
     for name, (events, duration, config) in EVENT_LOG_CASES.items():
-        trace = run(SPEC, _scenario(*events, duration=duration), config)
-        lines = [f"[{name}]"] + [f"{e.time!r}\t{e.what}" for e in trace.events]
+        log = _log(_scenario(*events, duration=duration), config)
+        lines = [f"[{name}]"] + [f"{e.time!r}\t{e.what}" for e in log]
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)
 
@@ -242,8 +270,7 @@ class TestEventLog:
             (0.0, "touch_start"), (0.1, "touch_end"), (TIMEOUT, "touch_start"),
             (TIMEOUT, "mains_fail"), (12.0, "touch_end"), duration=13.0,
         )
-        trace = run(SPEC, scenario, SimConfig())
-        siren = [(e.time, e.what) for e in trace.events if e.what.startswith("siren")]
+        siren = [(e.time, e.what) for e in _log(scenario) if e.what.startswith("siren")]
         assert siren == [
             (0.0, "siren on (alarm onset, modulator phase reset)"),
             (TIMEOUT, "siren off (window closed)"),
@@ -257,8 +284,59 @@ class TestEventLog:
         # it opens is dropped from the log and the intervals alike.
         scenario = _scenario((1.0, "touch_start"), (9.995, "mains_fail"), duration=10.0)
         trace = assert_matches_oracle(scenario, SimConfig(sample_rate=2000))
-        assert max(e.time for e in trace.events) <= 10.0
+        assert max(e.time for e in _log(scenario, SimConfig(sample_rate=2000))) <= 10.0
         assert trace.sounding_intervals == ((1.0, 9.995),)
+
+    @given(
+        c6=st.sampled_from([47e-6, 4.7e-6, 1e-6]),  # modulators of about 0.7, 7 and 32 Hz
+        steps=st.lists(st.tuples(st.sampled_from(["touch", "mains"]),
+                                 st.one_of(st.just(0.0), st.floats(0, 0.05), st.floats(0, 6))),
+                       max_size=8),
+        tail=st.one_of(st.just(0.0), st.floats(0, 12)),
+        switchover=st.sampled_from([0.0, 0.01, 0.3]),
+        battery=st.booleans(),
+        retrigger=st.sampled_from(simulator.RETRIGGER_MODES),
+        on_edges=st.none() | st.lists(st.floats(0, 1), min_size=1, max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_log_equals_the_eager_one(self, c6, steps, tail, switchover, battery, retrigger,
+                                           on_edges):
+        spec = CircuitSpec(c6=c6)
+        config = SimConfig(sample_rate=2000, switchover_delay=switchover, battery_present=battery,
+                           retrigger=retrigger)
+        # With on_edges, the touches alone, then mains events exactly on their modulator edges.
+        held, time, events = {"touch": False, "mains": False}, 0.0, []
+        for group, gap in steps:
+            if on_edges is None or group == "touch":
+                time += gap
+                events.append(ScenarioEvent(time, TOGGLES[group][held[group]]))
+                held[group] = not held[group]
+        duration = time + tail
+        ties = []
+        if on_edges:
+            alone = simulator.timeline(spec, Scenario(tuple(events), duration), config)
+            edges = [e.time for e in alone.log() if e.what.startswith("modulator")]
+            for where, kind in zip(sorted(on_edges), TOGGLES["mains"]):
+                if edges:
+                    ties.append(edges[min(int(where * len(edges)), len(edges) - 1)])
+                    bisect.insort(events, ScenarioEvent(ties[-1], kind), key=lambda e: e.time)
+        whole = simulator.timeline(spec, Scenario(tuple(events), duration), config)
+        log = list(whole.log())
+        assert log == reference_log(whole)
+        assert [e.time for e in log] == sorted(e.time for e in log)
+        assert all(e.time <= duration for e in log)
+        if battery and switchover == 0.0:  # no relay gap: each mains event ties with an edge
+            edge_times = {e.time for e in log if e.what.startswith("modulator")}
+            assert all(t in edge_times for t in ties)
+
+    def test_notes_do_not_grow_with_the_modulator(self):
+        # 600 s held at 8 kHz: the 870 Hz modulator logs about a million edges, the stock one 800.
+        scenario = _scenario((0.0, "touch_start"), duration=600.0)
+        config = SimConfig(sample_rate=8000)
+        stock = simulator.timeline(SPEC, scenario, config)
+        fast = simulator.timeline(CircuitSpec(c6=36.85e-9), scenario, config)
+        assert fast.modulator.frequency > 800
+        assert len(fast.notes) == len(stock.notes)
 
 
 class TestTriggerWindow:
@@ -324,8 +402,9 @@ class TestFailover:
             (5.0, "mains_fail"), (8.0, "mains_restore"), duration=14.0
         )
         trace = run(SPEC, scenario, SimConfig(retrigger="one_shot"))
-        offs = [e.time for e in trace.events if e.what.startswith("supply off")]
-        ons = [e.time for e in trace.events if e.what.startswith("supply on")]
+        log = _log(scenario, SimConfig(retrigger="one_shot"))
+        offs = [e.time for e in log if e.what.startswith("supply off")]
+        ons = [e.time for e in log if e.what.startswith("supply on")]
         in_window = (trace.times >= 1.0) & (trace.times < 1.0 + TIMEOUT)
         silent = in_window & (trace.speaker == 0.0)
         edges = np.flatnonzero(np.diff(silent.astype(int)))
@@ -354,7 +433,7 @@ class TestFailover:
         )
         config = SimConfig(sample_rate=2000, retrigger="one_shot", battery_present=False)
         trace = run(SPEC, scenario, config)
-        assert [e for e in trace.events if e.what.startswith("siren")] == [
+        assert [e for e in _log(scenario, config) if e.what.startswith("siren")] == [
             TraceEvent(1.0, "siren on (alarm onset, modulator phase reset)"),
             TraceEvent(5.0, "siren off (supply lost)"),
         ]
@@ -452,10 +531,19 @@ class TestRunValidation:
         with pytest.raises(SimulationError, match="needs 1.602e\\+04 samples, over the limit of 16000"):
             run(SPEC, Scenario((), 1.001), SimConfig())
 
+    @pytest.mark.parametrize("i0, i1", [(16000, 16003), (-4, 2), (0, 2**40), (3, 2), (0.0, 2),
+                                        (0, np.int64(2)), (16001, 16001)])
+    def test_render_range_is_checked(self, i0, i1):
+        whole = simulator.timeline(SPEC, _scenario((0.0, "touch_start"), duration=1.0), SimConfig())
+        assert whole.n_samples == 16000
+        with pytest.raises(SimulationError) as error:  # checked before numpy allocates
+            whole.render(i0, i1)
+        assert str(error.value) == f"samples {i0!r}..{i1!r} are not within 0..16000"
+
     def test_log_event_budget(self, monkeypatch):
         monkeypatch.setattr("touchalarm.simulator.MAX_LOG_EVENTS", 10)
-        short = run(SPEC, _scenario((1.0, "touch_start"), duration=6.0), SimConfig())
-        assert 0 < sum(e.what.startswith("modulator") for e in short.events) <= 10
+        short = _log(_scenario((1.0, "touch_start"), duration=6.0))
+        assert 0 < sum(e.what.startswith("modulator") for e in short) <= 10
         with pytest.raises(SimulationError, match="log events, over the limit of 10"):
             run(SPEC, _scenario((1.0, "touch_start"), duration=9.0), SimConfig())
 
@@ -504,7 +592,7 @@ class TestRunValidation:
         second = run(SPEC, scenario, SimConfig())
         np.testing.assert_array_equal(first.speaker, second.speaker)
         np.testing.assert_array_equal(first.carrier_freq, second.carrier_freq)
-        assert first.events == second.events
+        assert _log(scenario) == _log(scenario)
         assert first.alarm_windows == second.alarm_windows
 
 

@@ -254,6 +254,33 @@ class TestBoundedMemory:
         assert peak_rss(["simulate", "--scenario", str(path), "--wav", str(tmp_path / "t.wav")]) < 60 * MB
 
 
+    def test_fast_modulator_job_stores_no_event_log(self, tmp_path):
+        # A 600 s held touch with an 870 Hz modulator: a stored log of its million edges took about 205 MB.
+        (tmp_path / "fast.circ").write_text("c6 = 36.85n\n")
+        (tmp_path / "held.scn").write_text("0 touch_start\nduration 600\n")
+        peak, _faults = job_usage(["simulate", "--circuit", str(tmp_path / "fast.circ"),
+                                   "--scenario", str(tmp_path / "held.scn"), "--sample-rate", "8000",
+                                   "--wav", str(tmp_path / "t.wav")])
+        assert peak < 50 * MB
+
+    def test_simulate_never_reads_the_event_log(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "t.scn").write_text("1.0 touch_start\n2.0 mains_fail\n2.5 mains_restore\nduration 4\n")
+
+        def simulate(name):
+            files = [str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}.wav")]
+            assert main(["simulate", "--scenario", str(tmp_path / "t.scn"),
+                         "--csv", files[0], "--wav", files[1]]) == 0
+            return capsys.readouterr().out, [Path(f).read_bytes() for f in files]
+
+        expected = simulate("plain")
+
+        def no_log(self):
+            raise AssertionError("the event log was read")
+
+        monkeypatch.setattr(simulator.Timeline, "log", no_log)
+        assert simulate("unlogged") == expected
+
+
 class TestAllOrNothing:
     def test_directory_target_creates_neither_file(self, tmp_path, capsys):
         (tmp_path / "t.scn").write_text("1.0 touch_start\n1.2 touch_end\nduration 3\n")
