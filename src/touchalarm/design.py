@@ -198,8 +198,8 @@ class AstableTimes(NamedTuple):
     duty: float
 
 
-def astable_times(ra: float, rb: float, c: float) -> AstableTimes:
-    """Free-running charge/discharge times: t1 = ln2·(Ra+Rb)·C, t2 = ln2·Rb·C."""
+def _astable(ra: float, rb: float, c: float, times) -> AstableTimes:
+    """``AstableTimes`` of the (t1, t2) that ``times()`` gives once ra, rb and c pass the checks."""
     _require_finite(ra=ra, rb=rb, c=c)
     if ra < 0:
         raise DesignError(f"ra: must be >= 0, got {ra!r}")
@@ -207,10 +207,18 @@ def astable_times(ra: float, rb: float, c: float) -> AstableTimes:
         raise DesignError(f"rb: must be > 0, got {rb!r}")
     if c <= 0:
         raise DesignError(f"c: must be > 0, got {c!r}")
-    t1 = LN2 * (ra + rb) * c
-    t2 = LN2 * rb * c
+    t1, t2 = times()
     period = t1 + t2
-    return AstableTimes(t1, t2, period, 1.0 / period, t1 / period)
+    frequency = 1.0 / period if period else math.inf
+    if not all(math.isfinite(x) for x in (t1, t2, period, frequency)):
+        raise DesignError(f"astable times are not finite: t1={t1:g} s, t2={t2:g} s, "
+                          f"period={period:g} s, frequency={frequency:g} Hz")
+    return AstableTimes(t1, t2, period, frequency, t1 / period)
+
+
+def astable_times(ra: float, rb: float, c: float) -> AstableTimes:
+    """Free-running charge/discharge times: t1 = ln2·(Ra+Rb)·C, t2 = ln2·Rb·C."""
+    return _astable(ra, rb, c, lambda: (LN2 * (ra + rb) * c, LN2 * rb * c))
 
 
 def astable_times_cv(ra: float, rb: float, c: float, vcc: float, v_ctl: float) -> AstableTimes:
@@ -220,19 +228,11 @@ def astable_times_cv(ra: float, rb: float, c: float, vcc: float, v_ctl: float) -
     v_ctl/2, so t1 = (Ra+Rb)·C·ln((Vcc − v_ctl/2)/(Vcc − v_ctl)) and
     t2 = Rb·C·ln 2.  At v_ctl = 2/3·Vcc this reduces to astable_times.
     """
-    _require_finite(ra=ra, rb=rb, c=c, vcc=vcc, v_ctl=v_ctl)
-    if ra < 0:
-        raise DesignError(f"ra: must be >= 0, got {ra!r}")
-    if rb <= 0:
-        raise DesignError(f"rb: must be > 0, got {rb!r}")
-    if c <= 0:
-        raise DesignError(f"c: must be > 0, got {c!r}")
+    _require_finite(vcc=vcc, v_ctl=v_ctl)
     if not 0.0 < v_ctl < vcc:
         raise DesignError(f"v_ctl: must be inside (0, vcc), got {v_ctl!r} with vcc={vcc!r}")
-    t1 = (ra + rb) * c * math.log((vcc - v_ctl / 2.0) / (vcc - v_ctl))
-    t2 = rb * c * LN2
-    period = t1 + t2
-    return AstableTimes(t1, t2, period, 1.0 / period, t1 / period)
+    ratio = math.log((vcc - v_ctl / 2.0) / (vcc - v_ctl))
+    return _astable(ra, rb, c, lambda: ((ra + rb) * c * ratio, rb * c * LN2))
 
 
 class ModulationVoltages(NamedTuple):
@@ -455,6 +455,8 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
 
     timeout = stage("trigger_timeout", monostable_period, spec.r3, spec.c2, "approx")
     records.append(DesignRecord("trigger_timeout", timeout, "second", "1.1*r3*c2"))
+    if not timeout or math.isinf(1.0 / timeout):
+        raise DesignError(f"trigger_frequency: 1/{timeout!r} s is not finite")
     records.append(DesignRecord("trigger_frequency", 1.0 / timeout, "hertz", "1/trigger_timeout"))
     records.append(DesignRecord("trigger_threshold",
                                 stage("trigger_threshold", trigger_threshold, spec.vcc),

@@ -46,10 +46,10 @@ RETRIGGER_MODES = ("level_sensitive", "one_shot")
 # Carlo containment check.
 MEASURED_TIMEOUT_SECONDS = 10.60
 
-# Work budgets for ``timeline``, checked before anything is allocated:
-# samples per channel (about 70 min at 16 kHz) and modulator-edge log entries.
+# Work budget for ``timeline``, checked before anything is allocated: samples
+# per channel (about 70 min at 16 kHz).  With the modulator's Nyquist bound it
+# also caps ``Timeline.log()`` at ``n_samples + len(segments) + len(notes)`` entries.
 MAX_SAMPLES = 2**26
-MAX_LOG_EVENTS = 2**20
 
 # Samples per piece of ``Timeline.chunks``: a few MiB of temporaries.
 CHUNK = 2**16
@@ -58,8 +58,8 @@ CHUNK = 2**16
 # event tuple is built.
 MAX_EVENTS = 2**16
 
-# Budget for ``monte_carlo_timeout``: runs per study (32 MiB of samples).
-# It also keeps every run index to one uint32 entropy word.
+# Budget for ``monte_carlo_timeout``: runs per study, which bounds its run time
+# and keeps every run index to one uint32 entropy word.
 MAX_RUNS = 2**22
 
 
@@ -172,8 +172,7 @@ class TraceEvent(NamedTuple):
 class Trace(NamedTuple):
     """Samples ``start..start + n_samples`` of the node waveforms, on the grid ``k / sample_rate``.
 
-    A piece of a longer run holds that run's ``amplitude``, ``alarm_windows``
-    and ``sounding_intervals``, not just its own (no event log: ``Timeline.log()``).
+    The run's facts (windows, sounding time, event log) live on its ``Timeline``.
     """
 
     sample_rate: int
@@ -183,8 +182,6 @@ class Trace(NamedTuple):
     carrier_freq: np.ndarray
     speaker: np.ndarray
     amplitude: float
-    alarm_windows: tuple[tuple[float, float], ...]
-    sounding_intervals: tuple[tuple[float, float], ...]
     start: int = 0
 
     @property
@@ -195,10 +192,6 @@ class Trace(NamedTuple):
     @property
     def n_samples(self) -> int:
         return len(self.supply_on)
-
-    @property
-    def sounding_seconds(self) -> float:
-        return sum(end - start for start, end in self.sounding_intervals)
 
 
 def _pairs(events, opening: str, closing: str) -> list[tuple[float, float | None]]:
@@ -286,7 +279,7 @@ class Timeline(NamedTuple):
         carrier = np.zeros(n, dtype=np.float64)
         speaker = np.zeros(n, dtype=np.float64)
         piece = Trace(self.sample_rate, supply, trigger, modulator_high, carrier, speaker,
-                      self.amplitude, self.alarm_windows, self.sounding_intervals, i0)
+                      self.amplitude, i0)
         if n == 0:
             return piece
         first, last = float(times[0]), float(times[-1])
@@ -457,18 +450,6 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
             cursor, on = b, "supply restored"
         if cursor < window_end:
             segments.append((cursor, window_end, on, "window closed"))
-
-    # Each segment logs at most two modulator edges per period, plus one (``Timeline.log``).
-    edges = sum(
-        2 * (min(end, scenario.duration) - ref) / modulator.period + 1
-        for ref, end, _on, _off in segments
-        if ref <= scenario.duration
-    )
-    if edges > MAX_LOG_EVENTS:
-        raise SimulationError(
-            f"the {modulator.frequency:.4g} Hz modulator needs up to {edges:.4g} log "
-            f"events, over the limit of {MAX_LOG_EVENTS}"
-        )
 
     for ref, end, on, off in segments:
         notes.append(TraceEvent(ref, f"siren on ({on}, modulator phase reset)"))

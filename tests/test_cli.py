@@ -228,11 +228,8 @@ class TestSimulate:
             # c6 = 1p puts the modulator at about 32 MHz
             ("c6 = 1p\n", "1.0 touch_start\nduration 30\n", "16000",
              "Nyquist bound for the 3.206e+07 Hz modulator"),
-            # a 16 kHz modulator fits 48 kHz sampling but logs about 1.9M edges in 60 s
-            ("c6 = 2n\n", "1.0 touch_start\nduration 60\n", "48000",
-             "over the limit of 1048576"),
         ],
-        ids=["held-1e300", "released-1e300", "c6-1p", "c6-2n-edges"],
+        ids=["held-1e300", "released-1e300", "c6-1p"],
     )
     def test_budgets_reject_before_allocating(self, tmp_path, capsys, circuit, scenario, rate,
                                               reason):
@@ -251,6 +248,16 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.wav").exists()
 
+    def test_fast_modulator_fits_the_sample_budget(self, tmp_path, capsys):
+        # a 16 kHz modulator at 48 kHz: the 1.9M-entry log is never built, and the samples fit
+        (tmp_path / "s.scn").write_text("1.0 touch_start\nduration 60\n")
+        (tmp_path / "fast.circ").write_text("c6 = 2n\n")
+        assert main(["simulate", "--scenario", str(tmp_path / "s.scn"), "--circuit",
+                     str(tmp_path / "fast.circ"), "--sample-rate", "48000",
+                     "--wav", str(tmp_path / "x.wav")]) == 0
+        assert capsys.readouterr() == ("alarm_windows=1 sounding=59s\n", "")
+        assert (tmp_path / "x.wav").stat().st_size == 44 + 2 * 60 * 48000
+
     @pytest.mark.parametrize("flag", ["--wav", "--csv"])
     @pytest.mark.parametrize("circuit", ["vcc = 1e200\n", "speaker_impedance = 1e308\n"],
                              ids=["power", "impedance"])
@@ -266,6 +273,30 @@ class TestSimulate:
         assert proc.stderr.startswith("computation error: siren amplitude sqrt(")
         assert proc.stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.circ", "touch.scn"]
+
+    @pytest.mark.parametrize("circuit, command, message", [
+        ("c6 = 1e308\n", "simulate", "astable times are not finite: t1=inf s"),
+        ("c6 = 1e308\n", "design", "low_t1: astable times are not finite: t1=inf s"),
+        ("c6 = 1e308\n", "verify", "low_t1: astable times are not finite: t1=inf s"),
+        ("c4 = 1e-320\n", "simulate", "astable times are not finite: "),
+        ("c4 = 1e-320\n", "design", "high_t1: astable times are not finite: "),
+        ("r3 = 1e-320\n", "design", "trigger_frequency: 1/0.0 s is not finite"),
+        ("r3 = 1e-320\n", "verify", "trigger_frequency: 1/0.0 s is not finite"),
+    ], ids=["c6-simulate", "c6-design", "c6-verify", "c4-simulate", "c4-design", "r3-design",
+            "r3-verify"])
+    def test_overflowing_timing_is_a_design_error(self, touch_scenario, tmp_path, circuit, command,
+                                                  message):
+        # A fresh interpreter, so that numpy's RuntimeWarnings print instead of raising.
+        (tmp_path / "odd.circ").write_text(circuit)
+        argv = {"design": [str(tmp_path / "odd.circ")], "verify": ["--circuit", str(tmp_path / "odd.circ")],
+                "simulate": ["--circuit", str(tmp_path / "odd.circ"), "--scenario", touch_scenario,
+                             "--wav", str(tmp_path / "x.wav")]}[command]
+        proc = subprocess.run([sys.executable, "-m", "touchalarm", command, *argv],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr.startswith(f"computation error: {message}")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+        assert not (tmp_path / "x.wav").exists()
 
     def test_byte_identical_files_across_runs(self, touch_scenario, tmp_path):
         first = tmp_path / "a.wav"

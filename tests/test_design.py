@@ -122,6 +122,14 @@ class TestAstable:
         assert t.t1 == t.t2
         assert t.duty == pytest.approx(0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("ra, rb, c", [(1e3, 22e3, 1e308), (1e3, 1e308, 10.0), (0.0, 1e-10, 1e-314),
+                                           (1e3, 22e3, 1e-320)])
+    def test_rejects_times_that_are_not_finite(self, ra, rb, c):
+        with pytest.raises(DesignError, match="^astable times are not finite: t1="):
+            astable_times(ra, rb, c)
+        with pytest.raises(DesignError, match="^astable times are not finite: t1="):
+            astable_times_cv(ra, rb, c, 12.0, 8.0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DesignError):
             astable_times(-1.0, 1e3, 1e-6)
@@ -402,6 +410,13 @@ class TestComputeReport:
     def test_degenerate_capacitor_names_the_quantity(self):
         with pytest.raises(DesignError, match="c2"):
             compute_report(CircuitSpec(c2=0.0))
+
+    def test_underflowing_timeout_names_the_frequency(self):
+        assert monostable_period(1e-320, CircuitSpec().c2) == 0.0
+        with pytest.raises(DesignError, match=r"^trigger_frequency: 1/0\.0 s is not finite$"):
+            compute_report(CircuitSpec(r3=1e-320))
+        with pytest.raises(DesignError, match=r"^trigger_frequency: 1/5\.17e-315 s is not finite$"):
+            compute_report(CircuitSpec(r3=1e-310))
 
     def test_all_ideals_finite_and_positive(self):
         for record in compute_report(CircuitSpec()):

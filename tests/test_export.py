@@ -39,8 +39,6 @@ def make_trace(n, sample_rate=16000, speaker=None, amplitude=0.0, **channels):
         carrier_freq=channels.get("carrier_freq", zeros_f.copy()),
         speaker=zeros_f.copy() if speaker is None else np.asarray(speaker, dtype=np.float64),
         amplitude=amplitude,
-        alarm_windows=(),
-        sounding_intervals=(),
     )
 
 
@@ -88,8 +86,6 @@ def table_trace(n, sample_rate=16000, carrier=None, speaker=None, seed=0):
         carrier_freq=np.asarray(carrier, dtype=np.float64),
         speaker=np.asarray(speaker, dtype=np.float64),
         amplitude=6.335,
-        alarm_windows=(),
-        sounding_intervals=(),
     )
 
 
@@ -177,9 +173,9 @@ class TestCsvMatchesReference:
     @pytest.mark.parametrize("retrigger", ["level_sensitive", "one_shot"])
     @pytest.mark.parametrize("sample_rate", [16000, 44100, 48000, 8001, 9973])
     def test_simulated_traces(self, sample_rate, retrigger):
-        trace = run(SPEC, self.SCENARIO,
-                    SimConfig(sample_rate=sample_rate, retrigger=retrigger, battery_present=False))
-        assert trace.sounding_seconds > 0
+        config = SimConfig(sample_rate=sample_rate, retrigger=retrigger, battery_present=False)
+        trace = run(SPEC, self.SCENARIO, config)
+        assert timeline(SPEC, self.SCENARIO, config).sounding_seconds > 0
         assert write_csv(trace) == reference_csv(trace)
 
     def test_special_times_and_values(self):
@@ -234,8 +230,6 @@ class TestCsvMatchesReference:
             carrier_freq=carrier.astype(np.float64),
             speaker=speaker.astype(np.float64),
             amplitude=6.335,
-            alarm_windows=(),
-            sounding_intervals=(),
         )
         assert write_csv(trace) == reference_csv(trace)
 

@@ -75,7 +75,8 @@ class TestChunkEdges:
         config = SimConfig(sample_rate=rate, retrigger=retrigger, battery_present=battery,
                            switchover_delay=SWITCHOVER)
         trace = run(SPEC, scenario, config)
-        assert trace.sounding_seconds > 0 and not trace.supply_on.all()
+        line = simulator.timeline(SPEC, scenario, config)
+        assert line.sounding_seconds > 0 and not trace.supply_on.all()
         if rate == 8192 and chunk == 7:  # ties on both sides of some chunk edges
             ties = near_tie_rows(trace.n_samples, rate)
             assert {0, chunk - 1} <= set((ties % chunk).tolist())
@@ -92,7 +93,7 @@ class TestChunkEdges:
         if retrigger == "one_shot":
             argv.append("--one-shot")
         assert main(argv) == 0
-        assert capsys.readouterr().out.startswith(f"alarm_windows={len(trace.alarm_windows)} ")
+        assert capsys.readouterr().out.startswith(f"alarm_windows={len(line.alarm_windows)} ")
         assert (tmp_path / "t.csv").read_bytes() == write_csv(trace)
         assert (tmp_path / "t.wav").read_bytes() == write_wav(trace)
 
