@@ -100,17 +100,14 @@ class CircuitSpec(NamedTuple):
 
     def validate(self) -> None:
         """Raise DesignError naming the first field that violates an invariant."""
-        for name, value in zip(self._fields, self):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise DesignError(f"{name}: must be a finite number, got {value!r}")
-        for name, value in zip(self._fields, self):
-            if FIELD_UNITS[name] in ("ohm", "farad", "ampere", "hertz", "watt") and value <= 0:
-                raise DesignError(f"{name}: must be > 0, got {value!r}")
-        for name, value in zip(self._fields, self):
+        fields = self._asdict()
+        _require("a finite number", **fields)
+        _require("> 0", **{name: value for name, value in fields.items()
+                           if FIELD_UNITS[name] in ("ohm", "farad", "ampere", "hertz", "watt")})
+        for name, value in fields.items():
             if FIELD_UNITS[name] == "volt" and value < 0:
                 raise DesignError(f"{name}: voltage must be >= 0")
-        if not 0.0 < self.ripple_factor < 1.0:
-            raise DesignError(f"ripple_factor: must be in (0, 1), got {self.ripple_factor!r}")
+        _require("in (0, 1)", ripple_factor=self.ripple_factor)
         if self.tr1_hfe < 1 or self.tr2_hfe < 1:
             raise DesignError("tr1_hfe/tr2_hfe: gain must be >= 1")
         if self.tr1_saturation_factor < 1:
@@ -170,19 +167,25 @@ def parse_circuit(text: str) -> CircuitSpec:
 # --- individual design equations -----------------------------------------------
 
 
-def _require_finite(**values: float) -> None:
+# The domain rules of ``_require``, keyed by how its message states them.  Every
+# equation checks "a finite number" first, so the others compare numbers only.
+_RULES = {"a finite number": lambda x: isinstance(x, (int, float)) and math.isfinite(x),
+          "> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1,
+          "in (0, 1)": lambda x: 0.0 < x < 1.0}
+
+
+def _require(rule: str, **values: float) -> None:
+    """Raise DesignError naming the first of the values that breaks ``rule``."""
     for name, value in values.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise DesignError(f"{name}: must be a finite number, got {value!r}")
+        if not _RULES[rule](value):
+            raise DesignError(f"{name}: must be {rule}, got {value!r}")
 
 
 def monostable_period(r: float, c: float, model: str = "approx") -> float:
     """One-shot pulse width: 1.1·R·C (approx) or R·C·ln 3 (exact)."""
-    _require_finite(r=r, c=c)
-    if r <= 0:
-        raise DesignError(f"r: must be > 0, got {r!r}")
-    if c < 0:
-        raise DesignError(f"c: must be >= 0, got {c!r}")
+    _require("a finite number", r=r, c=c)
+    _require("> 0", r=r)
+    _require(">= 0", c=c)
     if model == "approx":
         return 1.1 * r * c
     if model == "exact":
@@ -200,13 +203,9 @@ class AstableTimes(NamedTuple):
 
 def _astable(ra: float, rb: float, c: float, times) -> AstableTimes:
     """``AstableTimes`` of the (t1, t2) that ``times()`` gives once ra, rb and c pass the checks."""
-    _require_finite(ra=ra, rb=rb, c=c)
-    if ra < 0:
-        raise DesignError(f"ra: must be >= 0, got {ra!r}")
-    if rb <= 0:
-        raise DesignError(f"rb: must be > 0, got {rb!r}")
-    if c <= 0:
-        raise DesignError(f"c: must be > 0, got {c!r}")
+    _require("a finite number", ra=ra, rb=rb, c=c)
+    _require(">= 0", ra=ra)
+    _require("> 0", rb=rb, c=c)
     t1, t2 = times()
     period = t1 + t2
     frequency = 1.0 / period if period else math.inf
@@ -228,7 +227,7 @@ def astable_times_cv(ra: float, rb: float, c: float, vcc: float, v_ctl: float) -
     v_ctl/2, so t1 = (Ra+Rb)·C·ln((Vcc − v_ctl/2)/(Vcc − v_ctl)) and
     t2 = Rb·C·ln 2.  At v_ctl = 2/3·Vcc this reduces to astable_times.
     """
-    _require_finite(vcc=vcc, v_ctl=v_ctl)
+    _require("a finite number", vcc=vcc, v_ctl=v_ctl)
     if not 0.0 < v_ctl < vcc:
         raise DesignError(f"v_ctl: must be inside (0, vcc), got {v_ctl!r} with vcc={vcc!r}")
     ratio = math.log((vcc - v_ctl / 2.0) / (vcc - v_ctl))
@@ -246,11 +245,8 @@ def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
     Two-source node: internal 2/3·Vcc behind the 5k ∥ 10k ladder, external
     modulator output (0 V or Vcc) behind r9.
     """
-    _require_finite(vcc=vcc, r9=r9)
-    if vcc <= 0:
-        raise DesignError(f"vcc: must be > 0, got {vcc!r}")
-    if r9 <= 0:
-        raise DesignError(f"r9: must be > 0, got {r9!r}")
+    _require("a finite number", vcc=vcc, r9=r9)
+    _require("> 0", vcc=vcc, r9=r9)
     r_th = CONTROL_PIN_THEVENIN_OHMS
     internal = (2.0 / 3.0) * vcc / r_th
     conductance = 1.0 / r_th + 1.0 / r9
@@ -269,11 +265,10 @@ class LedResistor(NamedTuple):
 
 def led_resistor(vcc: float, v_led: float, i_led: float, series: ESeries = E12) -> LedResistor:
     """Current-limiting resistor: (Vcc − V_led)/I_led, snapped to the series."""
-    _require_finite(vcc=vcc, v_led=v_led, i_led=i_led)
+    _require("a finite number", vcc=vcc, v_led=v_led, i_led=i_led)
     if vcc <= v_led:
         raise DesignError(f"vcc: must exceed v_led ({vcc!r} <= {v_led!r})")
-    if i_led <= 0:
-        raise DesignError(f"i_led: must be > 0, got {i_led!r}")
+    _require("> 0", i_led=i_led)
     r_ideal = (vcc - v_led) / i_led
     r_snapped = snap_preferred(r_ideal, series, "nearest")
     return LedResistor(r_ideal, r_snapped, (vcc - v_led) / r_snapped)
@@ -289,15 +284,10 @@ def filter_capacitor(
     f: float, ripple_factor: float, v_reg: float, i_reg: float, series: ESeries = E6
 ) -> FilterCapacitor:
     """Full-wave reservoir capacitor: C = 1/(4·√3·f·y·R_load)."""
-    _require_finite(f=f, ripple_factor=ripple_factor, v_reg=v_reg, i_reg=i_reg)
-    if f <= 0:
-        raise DesignError(f"f: must be > 0, got {f!r}")
-    if not 0.0 < ripple_factor < 1.0:
-        raise DesignError(f"ripple_factor: must be in (0, 1), got {ripple_factor!r}")
-    if v_reg <= 0:
-        raise DesignError(f"v_reg: must be > 0, got {v_reg!r}")
-    if i_reg <= 0:
-        raise DesignError(f"i_reg: must be > 0, got {i_reg!r}")
+    _require("a finite number", f=f, ripple_factor=ripple_factor, v_reg=v_reg, i_reg=i_reg)
+    _require("> 0", f=f)
+    _require("in (0, 1)", ripple_factor=ripple_factor)
+    _require("> 0", v_reg=v_reg, i_reg=i_reg)
     r_load = v_reg / i_reg
     c_ideal = 1.0 / (4.0 * math.sqrt(3.0) * f * ripple_factor * r_load)
     return FilterCapacitor(r_load, c_ideal, snap_preferred(c_ideal, series, "nearest"))
@@ -310,9 +300,8 @@ class PivCheck(NamedTuple):
 
 def peak_inverse_voltage(v_secondary: float, diode_rating: float) -> PivCheck:
     """Bridge rectifier PIV = 2 × secondary voltage, checked strictly."""
-    _require_finite(v_secondary=v_secondary, diode_rating=diode_rating)
-    if v_secondary < 0:
-        raise DesignError(f"v_secondary: must be >= 0, got {v_secondary!r}")
+    _require("a finite number", v_secondary=v_secondary, diode_rating=diode_rating)
+    _require(">= 0", v_secondary=v_secondary)
     piv = 2.0 * v_secondary
     return PivCheck(piv, piv < diode_rating)
 
@@ -333,16 +322,12 @@ def base_resistor(
     series: ESeries = E12,
 ) -> BaseResistor:
     """Relay-driver base resistor with overdrive into saturation."""
-    _require_finite(vcc=vcc, v_be=v_be, coil_resistance=coil_resistance,
-                    hfe=hfe, saturation_factor=saturation_factor)
+    _require("a finite number", vcc=vcc, v_be=v_be, coil_resistance=coil_resistance,
+             hfe=hfe, saturation_factor=saturation_factor)
     if vcc <= v_be:
         raise DesignError(f"vcc: must exceed v_be ({vcc!r} <= {v_be!r})")
-    if coil_resistance <= 0:
-        raise DesignError(f"coil_resistance: must be > 0, got {coil_resistance!r}")
-    if hfe < 1:
-        raise DesignError(f"hfe: must be >= 1, got {hfe!r}")
-    if saturation_factor < 1:
-        raise DesignError(f"saturation_factor: must be >= 1, got {saturation_factor!r}")
+    _require("> 0", coil_resistance=coil_resistance)
+    _require(">= 1", hfe=hfe, saturation_factor=saturation_factor)
     i_c = vcc / coil_resistance
     i_b = saturation_factor * i_c / hfe
     r_ideal = (vcc - v_be) / i_b
@@ -362,13 +347,11 @@ class AmplifierPower(NamedTuple):
 
 def amplifier_power(vcc: float, v_be: float, r_base: float, hfe: float) -> AmplifierPower:
     """Emitter-follower output power: I_E = (1+hfe)·I_B, P = I_E·Vcc."""
-    _require_finite(vcc=vcc, v_be=v_be, r_base=r_base, hfe=hfe)
+    _require("a finite number", vcc=vcc, v_be=v_be, r_base=r_base, hfe=hfe)
     if vcc < v_be:
         raise DesignError(f"vcc: must be >= v_be ({vcc!r} < {v_be!r})")
-    if r_base <= 0:
-        raise DesignError(f"r_base: must be > 0, got {r_base!r}")
-    if hfe < 1:
-        raise DesignError(f"hfe: must be >= 1, got {hfe!r}")
+    _require("> 0", r_base=r_base)
+    _require(">= 1", hfe=hfe)
     i_b = (vcc - v_be) / r_base
     i_e = (1.0 + hfe) * i_b
     return AmplifierPower(i_b, i_e, i_e * vcc)
@@ -376,9 +359,8 @@ def amplifier_power(vcc: float, v_be: float, r_base: float, hfe: float) -> Ampli
 
 def trigger_threshold(vcc: float) -> float:
     """Touch-trigger threshold: one third of the supply voltage."""
-    _require_finite(vcc=vcc)
-    if vcc < 0:
-        raise DesignError(f"vcc: must be >= 0, got {vcc!r}")
+    _require("a finite number", vcc=vcc)
+    _require(">= 0", vcc=vcc)
     return vcc / 3.0
 
 
@@ -392,14 +374,21 @@ class DesignRecord(NamedTuple):
     formula: str
     snapped: float | None = None
 
-    def ideal_quantity(self) -> Quantity:
-        return Quantity(self.ideal, self.unit)
 
-    def snapped_quantity(self) -> Quantity | None:
-        return None if self.snapped is None else Quantity(self.snapped, self.unit)
+class _Named(tuple):
+    """A tuple of records, each with a ``name`` field."""
+
+    __slots__ = ()
+
+    def get(self, name: str):
+        """The first record called ``name``; KeyError if there is none."""
+        for record in self:
+            if record.name == name:
+                return record
+        raise KeyError(name)
 
 
-class DesignReport(tuple):
+class DesignReport(_Named):
     """Every computed sizing/timing quantity, in a fixed order."""
 
     __slots__ = ()
@@ -407,12 +396,6 @@ class DesignReport(tuple):
     @property
     def records(self) -> tuple[DesignRecord, ...]:
         return tuple(self)
-
-    def get(self, name: str) -> DesignRecord:
-        for record in self:
-            if record.name == name:
-                return record
-        raise KeyError(name)
 
     def value(self, name: str) -> float:
         return self.get(name).ideal
@@ -422,16 +405,25 @@ class DesignReport(tuple):
         return tuple(record.name for record in self)
 
 
+def stage(quantity: str, fn, *args):
+    """``fn(*args)``, with any domain error prefixed by the report quantity it computes."""
+    try:
+        return fn(*args)
+    except (DesignError, QuantityError) as exc:
+        raise DesignError(f"{quantity}: {exc}") from exc
+
+
+def siren_tones(spec: CircuitSpec) -> tuple[float, float]:
+    """The carrier frequencies ``(f_lo_tone, f_hi_tone)`` while the modulator is high and low."""
+    volts = stage("f_lo_tone", modulation_voltages, spec.vcc, spec.r9)
+    return tuple(stage(name, astable_times_cv, spec.r7, spec.r8, spec.c4, spec.vcc, v_ctl).frequency
+                 for name, v_ctl in (("f_lo_tone", volts.v_ctl_high), ("f_hi_tone", volts.v_ctl_low)))
+
+
 def compute_report(spec: CircuitSpec) -> DesignReport:
     """Run every design equation against the spec and collect the results."""
     spec.validate()
     records: list[DesignRecord] = []
-
-    def stage(quantity: str, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (DesignError, QuantityError) as exc:
-            raise DesignError(f"{quantity}: {exc}") from exc
 
     led1 = stage("r1_ideal", led_resistor, spec.transformer_secondary, spec.v_led, spec.i_led_max)
     records.append(DesignRecord("r1_ideal", led1.r_ideal, "ohm",
@@ -469,19 +461,15 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
     records.append(DesignRecord("trigger_i_c", base.i_c, "ampere", "vcc/relay_coil"))
     records.append(DesignRecord("trigger_i_b", base.i_b, "ampere", "sat_factor*i_c/hfe"))
 
-    high = stage("high_t1", astable_times, spec.r7, spec.r8, spec.c4)
-    records.append(DesignRecord("high_t1", high.t1, "second", "ln2*(r7+r8)*c4"))
-    records.append(DesignRecord("high_t2", high.t2, "second", "ln2*r8*c4"))
-    records.append(DesignRecord("high_period", high.period, "second", "t1+t2"))
-    records.append(DesignRecord("high_freq", high.frequency, "hertz", "1/period"))
-    records.append(DesignRecord("high_duty", high.duty, "dimensionless", "t1/period"))
-
-    low = stage("low_t1", astable_times, spec.r11, spec.r12, spec.c6)
-    records.append(DesignRecord("low_t1", low.t1, "second", "ln2*(r11+r12)*c6"))
-    records.append(DesignRecord("low_t2", low.t2, "second", "ln2*r12*c6"))
-    records.append(DesignRecord("low_period", low.period, "second", "t1+t2"))
-    records.append(DesignRecord("low_freq", low.frequency, "hertz", "1/period"))
-    records.append(DesignRecord("low_duty", low.duty, "dimensionless", "t1/period"))
+    for prefix, ra, rb, c in (("high", "r7", "r8", "c4"), ("low", "r11", "r12", "c6")):
+        times = stage(f"{prefix}_t1", astable_times, getattr(spec, ra), getattr(spec, rb), getattr(spec, c))
+        records += [
+            DesignRecord(f"{prefix}_t1", times.t1, "second", f"ln2*({ra}+{rb})*{c}"),
+            DesignRecord(f"{prefix}_t2", times.t2, "second", f"ln2*{rb}*{c}"),
+            DesignRecord(f"{prefix}_period", times.period, "second", "t1+t2"),
+            DesignRecord(f"{prefix}_freq", times.frequency, "hertz", "1/period"),
+            DesignRecord(f"{prefix}_duty", times.duty, "dimensionless", "t1/period"),
+        ]
 
     amp = stage("amp_i_b", amplifier_power, spec.vcc, spec.v_be,
                 spec.amp_base_resistance, spec.tr2_hfe)
@@ -489,14 +477,11 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
     records.append(DesignRecord("amp_i_e", amp.i_e, "ampere", "(1+hfe)*i_b"))
     records.append(DesignRecord("amp_p_out", amp.p_out, "watt", "i_e*vcc"))
 
-    mod = stage("f_lo_tone", modulation_voltages, spec.vcc, spec.r9)
-    cv_high = stage("f_lo_tone", astable_times_cv, spec.r7, spec.r8, spec.c4,
-                    spec.vcc, mod.v_ctl_high)
-    cv_low = stage("f_hi_tone", astable_times_cv, spec.r7, spec.r8, spec.c4,
-                   spec.vcc, mod.v_ctl_low)
-    records.append(DesignRecord("f_lo_tone", cv_high.frequency, "hertz", "cv(v_ctl_high)"))
-    records.append(DesignRecord("f_hi_tone", cv_low.frequency, "hertz", "cv(v_ctl_low)"))
+    f_lo_tone, f_hi_tone = siren_tones(spec)
+    records.append(DesignRecord("f_lo_tone", f_lo_tone, "hertz", "cv(v_ctl_high)"))
+    records.append(DesignRecord("f_hi_tone", f_hi_tone, "hertz", "cv(v_ctl_low)"))
 
+    _require("a finite number", **{record.name: record.ideal for record in records})  # so every figure prints
     return DesignReport(records)
 
 
@@ -512,7 +497,7 @@ class ErrataEntry(NamedTuple):
     tolerance: float
 
 
-class ErrataReport(tuple):
+class ErrataReport(_Named):
     __slots__ = ()
 
     @property
@@ -523,41 +508,36 @@ class ErrataReport(tuple):
     def has_errata(self) -> bool:
         return any(entry.verdict == "ERRATUM" for entry in self)
 
-    def get(self, name: str) -> ErrataEntry:
-        for entry in self:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
 
-
-# (name, claimed value, unit, default tolerance).  Names ending in _snapped
-# compare the snapped column of the matching record; amp_gain is recovered
-# from i_e/i_b.  The duty figure gets a tighter default gate: the computed
-# ratio is exact, so anything past rounding noise is a real slip.
+# (name, claimed value, default tolerance), each in its report record's unit.
+# Names ending in _snapped compare the snapped column of the matching _ideal
+# record; amp_gain, dimensionless, is recovered from i_e/i_b.  The duty figure
+# gets a tighter default gate: the computed ratio is exact, so anything past
+# rounding noise is a real slip.
 REFERENCE_FIGURES = (
-    ("r1_ideal", 451.43, "ohm", 0.01),
-    ("r1_snapped", 470.0, "ohm", 0.01),
-    ("r2_ideal", 980.0, "ohm", 0.01),
-    ("led2_current", 0.012, "ampere", 0.01),
-    ("piv", 36.0, "volt", 0.01),
-    ("filter_c_ideal", 2.4056e-3, "farad", 0.01),
-    ("filter_c_snapped", 2.2e-3, "farad", 0.01),
-    ("trigger_timeout", 11.374, "second", 0.01),
-    ("trigger_i_c", 0.03, "ampere", 0.01),
-    ("trigger_i_b", 0.0024, "ampere", 0.01),
-    ("r5_ideal", 47050.0, "ohm", 0.01),
-    ("high_t1", 1.386e-3, "second", 0.01),
-    ("high_t2", 0.693e-3, "second", 0.01),
-    ("high_freq", 481.0, "hertz", 0.01),
-    ("high_duty", 0.6695, "dimensionless", 0.001),
-    ("low_t1", 1.041, "second", 0.01),
-    ("low_t2", 0.9957, "second", 0.01),
-    ("low_period", 2.037, "second", 0.01),
-    ("low_freq", 0.491, "hertz", 0.01),
-    ("amp_i_b", 0.038, "ampere", 0.01),
-    ("amp_i_e", 0.418, "ampere", 0.01),
-    ("amp_p_out", 5.016, "watt", 0.01),
-    ("amp_gain", 100.0, "dimensionless", 0.01),
+    ("r1_ideal", 451.43, 0.01),
+    ("r1_snapped", 470.0, 0.01),
+    ("r2_ideal", 980.0, 0.01),
+    ("led2_current", 0.012, 0.01),
+    ("piv", 36.0, 0.01),
+    ("filter_c_ideal", 2.4056e-3, 0.01),
+    ("filter_c_snapped", 2.2e-3, 0.01),
+    ("trigger_timeout", 11.374, 0.01),
+    ("trigger_i_c", 0.03, 0.01),
+    ("trigger_i_b", 0.0024, 0.01),
+    ("r5_ideal", 47050.0, 0.01),
+    ("high_t1", 1.386e-3, 0.01),
+    ("high_t2", 0.693e-3, 0.01),
+    ("high_freq", 481.0, 0.01),
+    ("high_duty", 0.6695, 0.001),
+    ("low_t1", 1.041, 0.01),
+    ("low_t2", 0.9957, 0.01),
+    ("low_period", 2.037, 0.01),
+    ("low_freq", 0.491, 0.01),
+    ("amp_i_b", 0.038, 0.01),
+    ("amp_i_e", 0.418, 0.01),
+    ("amp_p_out", 5.016, 0.01),
+    ("amp_gain", 100.0, 0.01),
 )
 
 
@@ -570,14 +550,12 @@ def verify_reference_values(report: DesignReport, tolerance: float | None = None
     if tolerance is not None and not 0.0 < tolerance * 100 < math.inf:
         raise DesignError(f"tolerance: must be finite and > 0 as a percentage, got {tolerance!r}")
     entries = []
-    for name, claimed, unit, default_tol in REFERENCE_FIGURES:
+    for name, claimed, default_tol in REFERENCE_FIGURES:
         if name == "amp_gain":
-            computed = report.value("amp_i_e") / report.value("amp_i_b") - 1.0
-        elif name.endswith("_snapped"):
-            record = report.get(name[: -len("_snapped")] + "_ideal")
-            computed = record.snapped
+            computed, unit = report.value("amp_i_e") / report.value("amp_i_b") - 1.0, "dimensionless"
         else:
-            computed = report.value(name)
+            record = report.get(name.replace("_snapped", "_ideal"))
+            computed, unit = record.snapped if name.endswith("_snapped") else record.ideal, record.unit
         tol = default_tol if tolerance is None else tolerance
         relative_error = abs(computed - claimed) / abs(claimed)
         verdict = "MATCH" if relative_error <= tol else "ERRATUM"
@@ -605,14 +583,22 @@ def _snapped_name(name: str) -> str:
     return name[: -len("_ideal")] + "_snapped" if name.endswith("_ideal") else name + "_snapped"
 
 
+def _table(rows: list[tuple[str, str, str, str]], align: str) -> str:
+    """Four-cell rows as aligned text lines: the first three cells are padded to their column's
+    widest, on the side that ``align`` gives each (``<`` or ``>``), and the cells are two spaces apart."""
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    padded = ([f"{cell:{side}{width}}" for cell, side, width in zip(row, align, widths)] + [row[3]]
+              for row in rows)
+    return "".join("  ".join(cells).rstrip() + "\n" for cells in padded)
+
+
 def _design_kv(report: DesignReport) -> str:
     lines = []
     for record in report:
-        lines.append(f"{record.name}={format_quantity(record.ideal_quantity())}")
+        lines.append(f"{record.name}={format_quantity(Quantity(record.ideal, record.unit))}")
         if record.snapped is not None:
-            lines.append(
-                f"{_snapped_name(record.name)}={format_quantity(record.snapped_quantity())}"
-            )
+            lines.append(f"{_snapped_name(record.name)}="
+                         f"{format_quantity(Quantity(record.snapped, record.unit))}")
     return "\n".join(lines) + "\n"
 
 
@@ -620,18 +606,10 @@ def _design_text(report: DesignReport) -> str:
     rows = [("quantity", "ideal", "snapped", "formula")]
     for record in report:
         snapped = "-" if record.snapped is None else format_quantity(
-            record.snapped_quantity(), digits=6
-        )
-        rows.append(
-            (record.name, format_quantity(record.ideal_quantity(), digits=6),
-             snapped, record.formula)
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    lines = [
-        f"{name:<{widths[0]}}  {ideal:>{widths[1]}}  {snapped:>{widths[2]}}  {formula}".rstrip()
-        for name, ideal, snapped, formula in rows
-    ]
-    return "\n".join(lines) + "\n"
+            Quantity(record.snapped, record.unit), digits=6)
+        rows.append((record.name, format_quantity(Quantity(record.ideal, record.unit), digits=6),
+                     snapped, record.formula))
+    return _table(rows, "<>>")
 
 
 def _errata_kv(report: ErrataReport) -> str:
@@ -650,9 +628,4 @@ def _errata_text(report: ErrataReport) -> str:
             f" vs claimed {format_quantity(Quantity(entry.claimed, entry.unit), digits=6)}"
         )
         rows.append((entry.name, comparison, entry.verdict, f"(tol {entry.tolerance * 100:g}%)"))
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    lines = [
-        f"{name:<{widths[0]}}  {comparison:<{widths[1]}}  {verdict:<{widths[2]}}  {tol}"
-        for name, comparison, verdict, tol in rows
-    ]
-    return "\n".join(lines) + "\n"
+    return _table(rows, "<<<")

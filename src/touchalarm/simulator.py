@@ -62,6 +62,12 @@ MAX_EVENTS = 2**16
 # and keeps every run index to one uint32 entropy word.
 MAX_RUNS = 2**22
 
+# One heap policy for every job: on glibc, freeing a 2 MiB mapping raises the mmap threshold to
+# 2 MiB and the heap trim threshold to 4 MiB for the rest of the process, so the render's
+# per-chunk temporaries and the tolerance study's summation leaves reuse heap pages instead of
+# faulting fresh ones in each time.
+np.empty(2**18)
+
 
 class ScenarioEvent(NamedTuple):
     time: float
@@ -241,11 +247,16 @@ class Timeline(NamedTuple):
     alarm_windows: tuple[tuple[float, float], ...]  # trigger high on [start, end)
     off_spans: tuple[tuple[float, float], ...]  # supply off on (a, b]
     segments: tuple[tuple[float, float, str, str], ...]  # sounding (ref, end, on, off)
-    sounding_intervals: tuple[tuple[float, float], ...]  # segments clipped to the scenario
     notes: tuple[TraceEvent, ...]  # time-ordered, none past the duration
     modulator: design.AstableTimes
     carrier_pair: tuple[float, float]  # (modulator high, modulator low)
     amplitude: float
+
+    @property
+    def sounding_intervals(self) -> tuple[tuple[float, float], ...]:
+        """The sounding segments as (start, end), clipped to the scenario."""
+        return tuple((ref, min(end, self.duration))
+                     for ref, end, _on, _off in self.segments if ref < self.duration)
 
     @property
     def sounding_seconds(self) -> float:
@@ -356,15 +367,10 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     config.validate()
 
     timeout = design.monostable_period(spec.r3, spec.c2, "approx")
-    modulator = design.astable_times(spec.r11, spec.r12, spec.c6)
-    if config.ideal_pair is not None:
-        freq_mod_high, freq_mod_low = config.ideal_pair
-    else:
-        volts = design.modulation_voltages(spec.vcc, spec.r9)
-        freq_mod_high = design.astable_times_cv(
-            spec.r7, spec.r8, spec.c4, spec.vcc, volts.v_ctl_high).frequency
-        freq_mod_low = design.astable_times_cv(
-            spec.r7, spec.r8, spec.c4, spec.vcc, volts.v_ctl_low).frequency
+    # The report's names, so a failing oscillator is named as ``design`` names it.
+    modulator = design.stage("low_t1", design.astable_times, spec.r11, spec.r12, spec.c6)
+    freq_mod_high, freq_mod_low = (config.ideal_pair if config.ideal_pair is not None
+                                   else design.siren_tones(spec))
     top_carrier = max(freq_mod_high, freq_mod_low)
     if config.sample_rate <= 2.0 * top_carrier:
         raise SimulationError(
@@ -463,11 +469,6 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
         alarm_windows=tuple((w[0], w[1]) for w in windows),
         off_spans=tuple(off_spans),
         segments=tuple(segments),
-        sounding_intervals=tuple(
-            (ref, min(end, scenario.duration))
-            for ref, end, _on, _off in segments
-            if ref < scenario.duration
-        ),
         notes=tuple(note for note in notes if note.time <= scenario.duration),
         modulator=modulator,
         carrier_pair=(freq_mod_high, freq_mod_low),
@@ -626,8 +627,6 @@ def monte_carlo_timeout(
         raise SimulationError(f"{runs} Monte Carlo runs requested, over the limit of {MAX_RUNS}")
 
     kept = timeout_samples(spec, rel_tolerance, seed, 0, runs) if runs <= _KEEP else None
-    if kept is None:  # a freed 2 MiB mapping lifts glibc's trim threshold to 4 MiB: leaves reuse heap pages
-        np.empty(2**18)
     extremes = []  # each leaf's min and max
 
     def leaf(i0: int, i1: int) -> np.ndarray:

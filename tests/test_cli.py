@@ -275,15 +275,18 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.circ", "touch.scn"]
 
     @pytest.mark.parametrize("circuit, command, message", [
-        ("c6 = 1e308\n", "simulate", "astable times are not finite: t1=inf s"),
+        ("c6 = 1e308\n", "simulate", "low_t1: astable times are not finite: t1=inf s"),
         ("c6 = 1e308\n", "design", "low_t1: astable times are not finite: t1=inf s"),
         ("c6 = 1e308\n", "verify", "low_t1: astable times are not finite: t1=inf s"),
-        ("c4 = 1e-320\n", "simulate", "astable times are not finite: "),
+        ("c4 = 1e-320\n", "simulate", "f_lo_tone: astable times are not finite: "),
         ("c4 = 1e-320\n", "design", "high_t1: astable times are not finite: "),
         ("r3 = 1e-320\n", "design", "trigger_frequency: 1/0.0 s is not finite"),
         ("r3 = 1e-320\n", "verify", "trigger_frequency: 1/0.0 s is not finite"),
+        ("r3 = 1e300\nc2 = 1e10\n", "design", "trigger_timeout: must be a finite number, got inf\n"),
+        ("r3 = 1e300\nc2 = 1e10\n", "verify", "trigger_timeout: must be a finite number, got inf\n"),
+        ("amp_base_resistance = 1e-320\n", "design", "amp_i_b: must be a finite number, got inf\n"),
     ], ids=["c6-simulate", "c6-design", "c6-verify", "c4-simulate", "c4-design", "r3-design",
-            "r3-verify"])
+            "r3-verify", "timeout-design", "timeout-verify", "amp-design"])
     def test_overflowing_timing_is_a_design_error(self, touch_scenario, tmp_path, circuit, command,
                                                   message):
         # A fresh interpreter, so that numpy's RuntimeWarnings print instead of raising.
@@ -297,6 +300,16 @@ class TestSimulate:
         assert proc.stderr.startswith(f"computation error: {message}")
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
         assert not (tmp_path / "x.wav").exists()
+
+    def test_overflowing_timeout_still_simulates(self, touch_scenario, tmp_path):
+        # The window of an infinite timeout never closes: the siren sounds to the end.
+        (tmp_path / "slow.circ").write_text("r3 = 1e300\nc2 = 1e10\n")
+        proc = subprocess.run([sys.executable, "-m", "touchalarm", "simulate", "--circuit",
+                               str(tmp_path / "slow.circ"), "--scenario", touch_scenario,
+                               "--wav", str(tmp_path / "x.wav")],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "x.wav").exists()
 
     def test_byte_identical_files_across_runs(self, touch_scenario, tmp_path):
         first = tmp_path / "a.wav"

@@ -601,3 +601,83 @@ class TestCircuitSpecValidation:
         spec = CircuitSpec(mains_voltage=-1.0, speaker_power_rating=0.0)
         with pytest.raises(DesignError, match=r"^speaker_power_rating: must be > 0, got 0\.0$"):
             spec.validate()
+
+
+# (equation, arguments, the whole rejection text).  Where two arguments are out
+# of range, the text names the one the equation checks first.
+REJECTIONS = [
+    (monostable_period, (0.0, 1e-6), "r: must be > 0, got 0.0"),
+    (monostable_period, (1e3, -1e-6), "c: must be >= 0, got -1e-06"),
+    (monostable_period, (-1.0, -1.0), "r: must be > 0, got -1.0"),
+    (monostable_period, (1e3, 1e-6, "other"), "model: expected 'approx' or 'exact', got 'other'"),
+    (monostable_period, (math.inf, math.nan), "r: must be a finite number, got inf"),
+    (astable_times, (-1.0, 0.0, 0.0), "ra: must be >= 0, got -1.0"),
+    (astable_times, (0.0, 0.0, -1.0), "rb: must be > 0, got 0.0"),
+    (astable_times, (0.0, 1.0, 0.0), "c: must be > 0, got 0.0"),
+    (astable_times, (1.0, 1.0, 1e308), "astable times are not finite: t1=1.38629e+308 s, "
+                                       "t2=6.93147e+307 s, period=inf s, frequency=0 Hz"),
+    (astable_times, (1e3, 1e3, 1e-320), "astable times are not finite: t1=1.38628e-317 s, "
+                                        "t2=6.9314e-318 s, period=2.07942e-317 s, frequency=inf Hz"),
+    (astable_times, ("1", 1.0, 1.0), "ra: must be a finite number, got '1'"),
+    (astable_times_cv, (1.0, 1.0, 1e-6, 12.0, 12.0), "v_ctl: must be inside (0, vcc), got 12.0 with vcc=12.0"),
+    (astable_times_cv, (-1.0, 0.0, 1e-6, 12.0, 0.0), "v_ctl: must be inside (0, vcc), got 0.0 with vcc=12.0"),
+    (astable_times_cv, (-1.0, 0.0, 1e-6, 12.0, 8.0), "ra: must be >= 0, got -1.0"),
+    (astable_times_cv, (1.0, 1.0, 1e-6, math.nan, 8.0), "vcc: must be a finite number, got nan"),
+    (astable_times_cv, (1.0, 1.0, 1e308, 12.0, 8.0), "astable times are not finite: t1=inf s, "
+                                                     "t2=6.93147e+307 s, period=inf s, frequency=0 Hz"),
+    (modulation_voltages, (0.0, 0.0), "vcc: must be > 0, got 0.0"),
+    (modulation_voltages, (12.0, -1.0), "r9: must be > 0, got -1.0"),
+    (modulation_voltages, (12.0, math.inf), "r9: must be a finite number, got inf"),
+    (led_resistor, (2.2, 2.2, 0.01), "vcc: must exceed v_led (2.2 <= 2.2)"),
+    (led_resistor, (12.0, 2.2, 0.0), "i_led: must be > 0, got 0.0"),
+    (led_resistor, (1.0, 2.2, -1.0), "vcc: must exceed v_led (1.0 <= 2.2)"),
+    (filter_capacitor, (0.0, 0.05, 12.0, 0.5), "f: must be > 0, got 0.0"),
+    (filter_capacitor, (50.0, 1.0, 12.0, 0.5), "ripple_factor: must be in (0, 1), got 1.0"),
+    (filter_capacitor, (50.0, 0.05, 0.0, 0.0), "v_reg: must be > 0, got 0.0"),
+    (filter_capacitor, (50.0, 0.05, 12.0, 0), "i_reg: must be > 0, got 0"),
+    (filter_capacitor, (-1.0, 2.0, -1.0, -1.0), "f: must be > 0, got -1.0"),
+    (peak_inverse_voltage, (-1.0, 50.0), "v_secondary: must be >= 0, got -1.0"),
+    (peak_inverse_voltage, (18.0, math.nan), "diode_rating: must be a finite number, got nan"),
+    (base_resistor, (0.6, 0.6, 400.0, 25.0, 2.0), "vcc: must exceed v_be (0.6 <= 0.6)"),
+    (base_resistor, (12.0, 0.6, 0.0, 25.0, 2.0), "coil_resistance: must be > 0, got 0.0"),
+    (base_resistor, (12.0, 0.6, 400.0, 0.5, 2.0), "hfe: must be >= 1, got 0.5"),
+    (base_resistor, (12.0, 0.6, 400.0, 25.0, 0.5), "saturation_factor: must be >= 1, got 0.5"),
+    (base_resistor, (12.0, 0.6, 400.0, 0.5, 0.5), "hfe: must be >= 1, got 0.5"),
+    (base_resistor, (12.0, 0.6, 1e9, 25.0, 1.0), "base resistance 2.38e+10Ω exceeds the 1e+07Ω cap; "
+                                                 "the requested drive current is impractically small"),
+    (amplifier_power, (0.5, 0.6, 300.0, 10.0), "vcc: must be >= v_be (0.5 < 0.6)"),
+    (amplifier_power, (12.0, 0.6, 0.0, 10.0), "r_base: must be > 0, got 0.0"),
+    (amplifier_power, (12.0, 0.6, 300.0, 0.0), "hfe: must be >= 1, got 0.0"),
+    (amplifier_power, (12.0, 0.6, -1.0, 0.0), "r_base: must be > 0, got -1.0"),
+    (trigger_threshold, (-1.0,), "vcc: must be >= 0, got -1.0"),
+    (trigger_threshold, (math.nan,), "vcc: must be a finite number, got nan"),
+]
+
+# (CircuitSpec overrides, the whole text of validate's rejection)
+SPEC_REJECTIONS = [
+    ({"r1": 0.0, "r2": 0.0}, "r1: must be > 0, got 0.0"),
+    ({"c6": -1.0, "vcc": -1.0}, "c6: must be > 0, got -1.0"),
+    ({"v_led": -1.0, "ripple_factor": 2.0}, "v_led: voltage must be >= 0"),
+    ({"ripple_factor": 1.0}, "ripple_factor: must be in (0, 1), got 1.0"),
+    ({"tr2_hfe": 0.5}, "tr1_hfe/tr2_hfe: gain must be >= 1"),
+    ({"tr1_saturation_factor": 0.5}, "tr1_saturation_factor: must be >= 1"),
+    ({"vcc": 0.6}, "vcc: must exceed v_be"),
+    ({"transformer_secondary": 11.0}, "transformer_secondary: must be >= regulator_voltage"),
+    ({"fuse_rating": math.inf, "r3": math.nan}, "fuse_rating: must be a finite number, got inf"),
+]
+
+
+class TestRejectionText:
+    @pytest.mark.parametrize("equation, args, message", REJECTIONS,
+                             ids=[f"{fn.__name__}{args}" for fn, args, _ in REJECTIONS])
+    def test_equation_rejection_is_pinned(self, equation, args, message):
+        with pytest.raises(DesignError) as info:
+            equation(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("overrides, message", SPEC_REJECTIONS,
+                             ids=[",".join(overrides) for overrides, _ in SPEC_REJECTIONS])
+    def test_spec_rejection_is_pinned(self, overrides, message):
+        with pytest.raises(DesignError) as info:
+            CircuitSpec(**overrides).validate()
+        assert str(info.value) == message
