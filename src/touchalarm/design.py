@@ -247,6 +247,7 @@ def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
     """
     _require("a finite number", vcc=vcc, r9=r9)
     _require("> 0", vcc=vcc, r9=r9)
+    _require("a finite number", **{"1/r9": 1.0 / r9})
     r_th = CONTROL_PIN_THEVENIN_OHMS
     internal = (2.0 / 3.0) * vcc / r_th
     conductance = 1.0 / r_th + 1.0 / r9
@@ -289,7 +290,9 @@ def filter_capacitor(
     _require("in (0, 1)", ripple_factor=ripple_factor)
     _require("> 0", v_reg=v_reg, i_reg=i_reg)
     r_load = v_reg / i_reg
-    c_ideal = 1.0 / (4.0 * math.sqrt(3.0) * f * ripple_factor * r_load)
+    product = 4.0 * math.sqrt(3.0) * f * ripple_factor * r_load
+    _require("> 0", **{"4*sqrt(3)*f*y*r_load": product})
+    c_ideal = 1.0 / product
     return FilterCapacitor(r_load, c_ideal, snap_preferred(c_ideal, series, "nearest"))
 
 
@@ -393,16 +396,8 @@ class DesignReport(_Named):
 
     __slots__ = ()
 
-    @property
-    def records(self) -> tuple[DesignRecord, ...]:
-        return tuple(self)
-
     def value(self, name: str) -> float:
         return self.get(name).ideal
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(record.name for record in self)
 
 
 def stage(quantity: str, fn, *args):
@@ -499,10 +494,6 @@ class ErrataEntry(NamedTuple):
 
 class ErrataReport(_Named):
     __slots__ = ()
-
-    @property
-    def entries(self) -> tuple[ErrataEntry, ...]:
-        return tuple(self)
 
     @property
     def has_errata(self) -> bool:

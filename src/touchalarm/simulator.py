@@ -193,7 +193,8 @@ class Trace(NamedTuple):
     @property
     def times(self) -> np.ndarray:
         """The sample grid, ``k / sample_rate`` for k in start..start+n_samples-1."""
-        return np.arange(self.start, self.start + self.n_samples, dtype=np.float64) / self.sample_rate
+        times = np.arange(self.start, self.start + self.n_samples, dtype=np.float64)
+        return np.divide(times, self.sample_rate, out=times)  # in place: no second grid-sized array
 
     @property
     def n_samples(self) -> int:
@@ -267,9 +268,9 @@ class Timeline(NamedTuple):
         return heapq.merge(self.notes, self._edges(), key=itemgetter(0))
 
     def _edges(self) -> Iterator[TraceEvent]:
-        """Each sounding segment's modulator edges before the duration, the phase restarting at ref."""
-        for ref, end, _on, _off in self.segments:
-            state_high, toggle, stop = True, ref, min(end, self.duration)
+        """Each sounding interval's modulator edges, the phase restarting at its start."""
+        for start, stop in self.sounding_intervals:
+            state_high, toggle = True, start
             while True:
                 toggle += self.modulator.t1 if state_high else self.modulator.t2
                 if toggle >= stop:
@@ -281,9 +282,7 @@ class Timeline(NamedTuple):
         """Samples ``i0..i1`` as a ``Trace`` starting at ``i0``: one slice per overlapping interval."""
         if not (isinstance(i0, int) and isinstance(i1, int) and 0 <= i0 <= i1 <= self.n_samples):
             raise SimulationError(f"samples {i0!r}..{i1!r} are not within 0..{self.n_samples}")
-        times = np.arange(i0, i1, dtype=np.float64)
-        np.divide(times, self.sample_rate, out=times)
-        n = len(times)
+        n = i1 - i0
         supply = np.ones(n, dtype=bool)
         trigger = np.zeros(n, dtype=bool)
         modulator_high = np.zeros(n, dtype=bool)
@@ -293,6 +292,7 @@ class Timeline(NamedTuple):
                       self.amplitude, i0)
         if n == 0:
             return piece
+        times = piece.times
         first, last = float(times[0]), float(times[-1])
 
         def first_at_or_after(t: float) -> int:
@@ -371,17 +371,10 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     modulator = design.stage("low_t1", design.astable_times, spec.r11, spec.r12, spec.c6)
     freq_mod_high, freq_mod_low = (config.ideal_pair if config.ideal_pair is not None
                                    else design.siren_tones(spec))
-    top_carrier = max(freq_mod_high, freq_mod_low)
-    if config.sample_rate <= 2.0 * top_carrier:
-        raise SimulationError(
-            f"sample_rate {config.sample_rate} is below the Nyquist bound for "
-            f"the {top_carrier:.1f} Hz carrier"
-        )
-    if config.sample_rate <= 2.0 * modulator.frequency:
-        raise SimulationError(
-            f"sample_rate {config.sample_rate} is below the Nyquist bound for "
-            f"the {modulator.frequency:.4g} Hz modulator"
-        )
+    for name, frequency in (("carrier", max(freq_mod_high, freq_mod_low)), ("modulator", modulator.frequency)):
+        if config.sample_rate <= 2.0 * frequency:
+            raise SimulationError(
+                f"sample_rate {config.sample_rate} is below the Nyquist bound for the {frequency:.4g} Hz {name}")
     requested = scenario.duration * config.sample_rate
     if requested > MAX_SAMPLES:
         raise SimulationError(
@@ -581,15 +574,13 @@ def timeout_samples(spec: design.CircuitSpec, rel_tolerance: float, seed: int, i
     if not (all(isinstance(x, int) for x in (i0, i1, block)) and 0 <= i0 <= i1 <= MAX_RUNS and block > 0):
         raise SimulationError(f"runs {i0!r}..{i1!r} in blocks of {block!r}: not within 0..{MAX_RUNS}")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    r3_lo, r3_hi = spec.r3 * (1.0 - rel_tolerance), spec.r3 * (1.0 + rel_tolerance)
-    c2_lo, c2_hi = spec.c2 * (1.0 - rel_tolerance), spec.c2 * (1.0 + rel_tolerance)
+    bands = [(x * (1.0 - rel_tolerance), x * (1.0 + rel_tolerance)) for x in (spec.r3, spec.c2)]
     samples = np.empty(i1 - i0, dtype=np.float64)
     with np.errstate(all="ignore"):
         for start in range(i0, i1, block):
             stop = min(start + block, i1)
-            u1, u2 = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32), 2)
-            r3 = r3_lo + (r3_hi - r3_lo) * u1
-            c2 = c2_lo + (c2_hi - c2_lo) * u2
+            doubles = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32), 2)
+            r3, c2 = (lo + (hi - lo) * u for (lo, hi), u in zip(bands, doubles))  # Generator.uniform's arithmetic
             if not np.all(r3 > 0):
                 raise design.DesignError("r: must be > 0, got 0.0")
             samples[start - i0:stop - i0] = 1.1 * r3 * c2

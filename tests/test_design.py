@@ -395,7 +395,7 @@ class TestComputeReport:
 
     def test_record_order_is_stable(self):
         report = compute_report(CircuitSpec())
-        assert report.names == (
+        assert tuple(record.name for record in report) == (
             "r1_ideal", "led1_current", "r2_ideal", "led2_current", "piv",
             "filter_c_ideal", "trigger_timeout", "trigger_frequency",
             "trigger_threshold", "r5_ideal", "trigger_i_c", "trigger_i_b",
@@ -651,6 +651,9 @@ REJECTIONS = [
     (amplifier_power, (12.0, 0.6, -1.0, 0.0), "r_base: must be > 0, got -1.0"),
     (trigger_threshold, (-1.0,), "vcc: must be >= 0, got -1.0"),
     (trigger_threshold, (math.nan,), "vcc: must be a finite number, got nan"),
+    (filter_capacitor, (5e-324, 0.05, 12.0, 0.5), "4*sqrt(3)*f*y*r_load: must be > 0, got 0.0"),
+    (modulation_voltages, (12.0, 1e-320), "1/r9: must be a finite number, got inf"),
+    (modulation_voltages, (12.0, 5e-324), "1/r9: must be a finite number, got inf"),
 ]
 
 # (CircuitSpec overrides, the whole text of validate's rejection)

@@ -468,7 +468,7 @@ class TestReports:
         lines = write_report(errata, "kv").decode().splitlines()
         assert "high_duty=ERRATUM" in lines
         assert "trigger_timeout=MATCH" in lines
-        assert len(lines) == len(errata.entries)
+        assert len(lines) == len(errata)
 
     def test_empty_errata(self):
         from touchalarm.design import ErrataReport
