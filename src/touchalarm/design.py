@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .units import (E6, E12, ESeries, Quantity, QuantityError, format_quantity, lines, parse_quantity,
-                    quoted, snap_preferred)
+from .units import (E6, E12, Quantity, QuantityError, format_quantity, lines, parse_quantity, quoted,
+                    snap_preferred)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -181,6 +181,14 @@ def _require(rule: str, **values: float) -> None:
             raise DesignError(f"{name}: must be {rule}, got {value!r}")
 
 
+def stage(quantity: str, fn, *args):
+    """``fn(*args)``, with any domain error prefixed by the quantity it computes."""
+    try:
+        return fn(*args)
+    except (DesignError, QuantityError) as exc:
+        raise DesignError(f"{quantity}: {exc}") from exc
+
+
 def monostable_period(r: float, c: float, model: str = "approx") -> float:
     """One-shot pulse width: 1.1·R·C (approx) or R·C·ln 3 (exact)."""
     _require("a finite number", r=r, c=c)
@@ -264,14 +272,14 @@ class LedResistor(NamedTuple):
     i_actual: float
 
 
-def led_resistor(vcc: float, v_led: float, i_led: float, series: ESeries = E12) -> LedResistor:
-    """Current-limiting resistor: (Vcc − V_led)/I_led, snapped to the series."""
+def led_resistor(vcc: float, v_led: float, i_led: float) -> LedResistor:
+    """Current-limiting resistor: (Vcc − V_led)/I_led, snapped to E12."""
     _require("a finite number", vcc=vcc, v_led=v_led, i_led=i_led)
     if vcc <= v_led:
         raise DesignError(f"vcc: must exceed v_led ({vcc!r} <= {v_led!r})")
     _require("> 0", i_led=i_led)
     r_ideal = (vcc - v_led) / i_led
-    r_snapped = snap_preferred(r_ideal, series, "nearest")
+    r_snapped = stage("r_ideal", snap_preferred, r_ideal, E12)
     return LedResistor(r_ideal, r_snapped, (vcc - v_led) / r_snapped)
 
 
@@ -281,10 +289,8 @@ class FilterCapacitor(NamedTuple):
     c_snapped: float
 
 
-def filter_capacitor(
-    f: float, ripple_factor: float, v_reg: float, i_reg: float, series: ESeries = E6
-) -> FilterCapacitor:
-    """Full-wave reservoir capacitor: C = 1/(4·√3·f·y·R_load)."""
+def filter_capacitor(f: float, ripple_factor: float, v_reg: float, i_reg: float) -> FilterCapacitor:
+    """Full-wave reservoir capacitor: C = 1/(4·√3·f·y·R_load), snapped to E6."""
     _require("a finite number", f=f, ripple_factor=ripple_factor, v_reg=v_reg, i_reg=i_reg)
     _require("> 0", f=f)
     _require("in (0, 1)", ripple_factor=ripple_factor)
@@ -293,7 +299,7 @@ def filter_capacitor(
     product = 4.0 * math.sqrt(3.0) * f * ripple_factor * r_load
     _require("> 0", **{"4*sqrt(3)*f*y*r_load": product})
     c_ideal = 1.0 / product
-    return FilterCapacitor(r_load, c_ideal, snap_preferred(c_ideal, series, "nearest"))
+    return FilterCapacitor(r_load, c_ideal, stage("c_ideal", snap_preferred, c_ideal, E6))
 
 
 class PivCheck(NamedTuple):
@@ -316,15 +322,9 @@ class BaseResistor(NamedTuple):
     r_snapped: float
 
 
-def base_resistor(
-    vcc: float,
-    v_be: float,
-    coil_resistance: float,
-    hfe: float,
-    saturation_factor: float,
-    series: ESeries = E12,
-) -> BaseResistor:
-    """Relay-driver base resistor with overdrive into saturation."""
+def base_resistor(vcc: float, v_be: float, coil_resistance: float, hfe: float,
+                  saturation_factor: float) -> BaseResistor:
+    """Relay-driver base resistor with overdrive into saturation, snapped to E12."""
     _require("a finite number", vcc=vcc, v_be=v_be, coil_resistance=coil_resistance,
              hfe=hfe, saturation_factor=saturation_factor)
     if vcc <= v_be:
@@ -333,13 +333,14 @@ def base_resistor(
     _require(">= 1", hfe=hfe, saturation_factor=saturation_factor)
     i_c = vcc / coil_resistance
     i_b = saturation_factor * i_c / hfe
+    _require("> 0", i_b=i_b)  # vcc / coil_resistance can underflow to 0
     r_ideal = (vcc - v_be) / i_b
     if r_ideal > BASE_RESISTOR_CAP_OHMS:
         raise DesignError(
             f"base resistance {r_ideal:.3g}Ω exceeds the {BASE_RESISTOR_CAP_OHMS:.0e}Ω cap; "
             "the requested drive current is impractically small"
         )
-    return BaseResistor(i_c, i_b, r_ideal, snap_preferred(r_ideal, series, "nearest"))
+    return BaseResistor(i_c, i_b, r_ideal, stage("r_ideal", snap_preferred, r_ideal, E12))
 
 
 class AmplifierPower(NamedTuple):
@@ -398,14 +399,6 @@ class DesignReport(_Named):
 
     def value(self, name: str) -> float:
         return self.get(name).ideal
-
-
-def stage(quantity: str, fn, *args):
-    """``fn(*args)``, with any domain error prefixed by the report quantity it computes."""
-    try:
-        return fn(*args)
-    except (DesignError, QuantityError) as exc:
-        raise DesignError(f"{quantity}: {exc}") from exc
 
 
 def siren_tones(spec: CircuitSpec) -> tuple[float, float]:

@@ -480,10 +480,10 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
 
 class ToleranceResult(NamedTuple):
     runs: int
-    min: float = 0.0
-    max: float = 0.0
-    mean: float = 0.0
-    stddev: float = 0.0
+    min: float
+    max: float
+    mean: float
+    stddev: float
 
     def contains(self, target: float) -> bool:
         return self.min <= target <= self.max
@@ -517,8 +517,8 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi + inc_hi + (new_lo < inc_lo), new_lo
 
 
-def _default_rng_doubles(seed: int, indices: np.ndarray, count: int) -> list[np.ndarray]:
-    """The first ``count`` ``random()`` doubles of ``default_rng((seed, i))``.
+def _default_rng_doubles(seed: int, indices: np.ndarray) -> list[np.ndarray]:
+    """The first two ``random()`` doubles of ``default_rng((seed, i))``.
 
     ``seed`` is a non-negative integer below 2**64 and ``indices`` a uint32
     array; the result holds one array per draw, one element per index.  Call
@@ -556,7 +556,7 @@ def _default_rng_doubles(seed: int, indices: np.ndarray, count: int) -> list[np.
     del pool, mixed, s0, s1, s2, s3  # a smaller peak while drawing
 
     doubles = []
-    for _ in range(count):
+    for _ in range(2):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         xored, rot = hi ^ lo, hi >> 58
         out = xored >> rot | xored << (-rot & 63)  # XSL-RR output
@@ -579,7 +579,7 @@ def timeout_samples(spec: design.CircuitSpec, rel_tolerance: float, seed: int, i
     with np.errstate(all="ignore"):
         for start in range(i0, i1, block):
             stop = min(start + block, i1)
-            doubles = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32), 2)
+            doubles = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32))
             r3, c2 = (lo + (hi - lo) * u for (lo, hi), u in zip(bands, doubles))  # Generator.uniform's arithmetic
             if not np.all(r3 > 0):
                 raise design.DesignError("r: must be > 0, got 0.0")
@@ -607,11 +607,10 @@ def monte_carlo_timeout(
     bit-identical to a per-run generator loop and independent of execution
     order.  The generators are not built: numpy's SeedSequence mixing and
     PCG64 seeding and stepping are computed in uint32/uint64 array
-    arithmetic by ``timeout_samples``, which also checks ``rel_tolerance``.
+    arithmetic by ``timeout_samples``, which also checks ``spec`` and ``rel_tolerance``.
     Mean and stddev replay numpy's pairwise summation bit for bit.  Raises
     ``design.DesignError`` when a sample or statistic is not finite.
     """
-    spec.validate()
     if not isinstance(runs, int) or runs < 1:
         raise SimulationError(f"runs must be >= 1, got {runs!r}")
     if runs > MAX_RUNS:

@@ -248,6 +248,18 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("duration", "line 1: expected 'duration <seconds>'"),
+        ("duration 1 2", "line 1: expected 'duration <seconds>'"),
+        ("duration inf", "duration must be finite and >= 0, got inf"),
+        ("duration nan", "duration must be finite and >= 0, got nan"),
+    ])
+    def test_bad_duration_line(self, tmp_path, capsys, line, message):
+        (tmp_path / "s.scn").write_text(line + "\n")
+        assert main(["simulate", "--scenario", str(tmp_path / "s.scn"), "--wav", str(tmp_path / "x.wav")]) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "x.wav").exists()
+
     def test_fast_modulator_fits_the_sample_budget(self, tmp_path, capsys):
         # a 16 kHz modulator at 48 kHz: the 1.9M-entry log is never built, and the samples fit
         (tmp_path / "s.scn").write_text("1.0 touch_start\nduration 60\n")
@@ -342,6 +354,10 @@ class TestSnap:
     def test_bad_series_flag(self):
         assert main(["snap", "--series", "E13", "100"]) == 2
 
+    def test_up_past_the_largest_float(self, capsys):
+        assert main(["snap", "--mode", "up", "1.7e308"]) == 2
+        assert capsys.readouterr().err == "usage error: 1.7e+308 is above the representable range\n"
+
 
 class TestVerify:
     def test_default_exits_1_with_errata_table(self, capsys):
@@ -364,21 +380,27 @@ class TestVerify:
     def test_bad_tolerance(self, capsys):
         for tolerance in ("-0.1", "0", "-0", "nan"):
             assert main(["verify", "--tolerance", tolerance]) == 2
-            assert capsys.readouterr().err == "usage error: --tolerance must be > 0\n"
+            assert capsys.readouterr().err == \
+                f"usage error: --tolerance: must be finite and > 0 as a percentage, got {float(tolerance)!r}\n"
         assert main(["verify", "--tolerance", "inf"]) == 2
         assert capsys.readouterr().err == \
-            "usage error: --tolerance must be finite: inf would match every figure\n"
+            "usage error: --tolerance: must be finite and > 0 as a percentage, got inf\n"
 
     def test_tolerance_overflowing_as_a_percentage(self, capsys):
         assert main(["verify", "--tolerance", "1e307"]) == 2
         assert capsys.readouterr().err == \
-            "usage error: --tolerance must be finite: 1e+307 is inf as a percentage\n"
+            "usage error: --tolerance: must be finite and > 0 as a percentage, got 1e+307\n"
         assert main(["verify", "--tolerance", "1e300"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.endswith("  (tol 1e+302%)") for line in lines)
 
     def test_unreadable_circuit(self):
         assert main(["verify", "--circuit", "/nonexistent.circ"]) == 3
+
+    def test_circuit_is_checked_before_the_tolerance(self, tmp_path, capsys):
+        (tmp_path / "bad.circ").write_text("r3 = 1e-320\n")
+        assert main(["verify", "--circuit", str(tmp_path / "bad.circ"), "--tolerance", "0"]) == 4
+        assert capsys.readouterr().err == "computation error: trigger_frequency: 1/0.0 s is not finite\n"
 
     def test_deterministic_stdout(self, capsys):
         main(["verify"])

@@ -654,6 +654,9 @@ REJECTIONS = [
     (filter_capacitor, (5e-324, 0.05, 12.0, 0.5), "4*sqrt(3)*f*y*r_load: must be > 0, got 0.0"),
     (modulation_voltages, (12.0, 1e-320), "1/r9: must be a finite number, got inf"),
     (modulation_voltages, (12.0, 5e-324), "1/r9: must be a finite number, got inf"),
+    (base_resistor, (1e-300, 0.0, 1e300, 25.0, 2.0), "i_b: must be > 0, got 0.0"),
+    (led_resistor, (1e300, 0.0, 1e-300), "r_ideal: snap needs a positive finite value, got inf"),
+    (filter_capacitor, (1e-320, 0.05, 12.0, 0.5), "c_ideal: snap needs a positive finite value, got inf"),
 ]
 
 # (CircuitSpec overrides, the whole text of validate's rejection)

@@ -166,6 +166,10 @@ class TestFormatQuantity:
         # One ulp below 1000 must still come out as "1k...", not "1e+03...".
         assert format_quantity(Quantity(999.9999999999999, "ohm")) == "1kΩ"
 
+    def test_fixed_digits_round_into_the_next_prefix(self):
+        # log10 puts 999.9996 in the ohm decade; four digits round it to "1000" there.
+        assert format_quantity(Quantity(999.9996, "ohm"), digits=4) == "1kΩ"
+
     def test_format_number(self):
         assert format_number(470.0) == "470"
         assert format_number(451.43) == "451.43"
