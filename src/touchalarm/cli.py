@@ -134,13 +134,17 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
 def _atomic_files(paths):
     """Open a ``.partial`` file for each path; rename them all once the block succeeds.
 
-    A target that is a directory is refused before anything is opened, and a
-    ``.partial`` file that cannot be opened is reported under its target's
-    name.  Any failure removes every ``.partial`` file and leaves every target
-    alone.
+    A target that is a directory or another target's ``.partial`` file is
+    refused before anything is opened, and a ``.partial`` file that cannot be
+    opened is reported under its target's name.  Any failure removes every
+    ``.partial`` file and leaves every target alone.
     """
     targets = [Path(path) for path in paths]
     temps = [target.with_name(target.name + ".partial") for target in targets]
+    resolved = {target.resolve() for target in targets}
+    for tmp, target in zip(temps, targets):
+        if tmp.resolve() in resolved:
+            raise UsageError(f"{quoted(str(tmp))} is an output and the temp file of {quoted(str(target))}")
     for target in targets:
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))

@@ -557,7 +557,7 @@ def write_report(report: DesignReport | ErrataReport, format: str = "text") -> b
     if isinstance(report, DesignReport):
         text = _design_kv(report) if format == "kv" else _design_text(report)
     elif isinstance(report, ErrataReport):
-        text = _errata_kv(report) if format == "kv" else _errata_text(report)
+        text = (_errata_kv if format == "kv" else _errata_text)(report) if report else "no entries\n"
     else:
         raise ExportError(f"cannot render {type(report).__name__}")
     return text.encode("utf-8")
@@ -597,14 +597,10 @@ def _design_text(report: DesignReport) -> str:
 
 
 def _errata_kv(report: ErrataReport) -> str:
-    if not report:
-        return "no entries\n"
     return "\n".join(f"{entry.name}={entry.verdict}" for entry in report) + "\n"
 
 
 def _errata_text(report: ErrataReport) -> str:
-    if not report:
-        return "no entries\n"
     rows = []
     for entry in report:
         comparison = (

@@ -35,8 +35,6 @@ def check_wav_rate(rate) -> None:
 
 def write_csv(trace: Trace) -> bytes:
     """The whole CSV file: ``csv_header()`` followed by ``csv_rows(trace)``."""
-    if not isinstance(trace.sample_rate, int) or not 0 < trace.sample_rate <= sys.float_info.max:
-        raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(trace.sample_rate)}")
     return b"".join((csv_header(), *csv_rows(trace)))
 
 
@@ -70,8 +68,11 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
     falls inside the row's own time cell, so no write reaches another row and
     the order in which numpy scatters does not matter.  Each row depends on its
     own sample alone, so the blocks, and the rows of consecutive chunks,
-    concatenate to the rows of the whole trace.
+    concatenate to the rows of the whole trace.  A ``sample_rate`` that is not a
+    positive integer that converts to a float raises ExportError.
     """
+    if not isinstance(chunk.sample_rate, int) or not 0 < chunk.sample_rate <= sys.float_info.max:
+        raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(chunk.sample_rate)}")
     n = chunk.n_samples
 
     # --- forms: the distinct rests of a row, found among run starts ---------

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import design
 from .design import ScenarioError, SimulationError
-from .units import lines, quoted
+from .units import QUOTE_LIMIT, lines, quoted
 
 EVENT_KINDS = ("touch_start", "touch_end", "mains_fail", "mains_restore")
 
@@ -142,8 +142,9 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _rate_text(x) -> str:  # an int as %g, so a 300-digit rate prints short
-    return f"{x:g}" if isinstance(x, int) and abs(x) <= sys.float_info.max else repr(x)
+def _rate_text(x) -> str:  # an int as %g, else repr, cut as units.quoted cuts: a 400-digit rate prints short
+    text = f"{x:g}" if isinstance(x, int) and abs(x) <= sys.float_info.max else repr(x)
+    return text if len(text) <= QUOTE_LIMIT else f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 class SimConfig(NamedTuple):
@@ -392,24 +393,19 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     ]
 
     # --- trigger windows [start, end) ----------------------------------------
+    # A touch inside the open window opens none; one-shot, it is held for no time and extends nothing.
+    one_shot = config.retrigger == "one_shot"
     windows: list[list] = []  # [start, end, cause]
-    for start, end in _pairs(scenario.events, "touch_start", "touch_end"):
-        if config.retrigger == "one_shot":
-            if windows and start < windows[-1][1]:
-                notes.append(TraceEvent(start, "retrigger ignored (one-shot window active)"))
-                continue
-            windows.append([start, start + timeout, "timeout"])
-        else:
-            held = end if end is not None else scenario.duration
-            candidate_end = max(held, start + timeout)
-            cause = "touch released" if held > start + timeout else "timeout"
-            if windows and start < windows[-1][1]:
-                if candidate_end > windows[-1][1]:
-                    windows[-1][1] = candidate_end
-                    windows[-1][2] = cause
-                notes.append(TraceEvent(start, "alarm window extended (retrigger)"))
-            else:
-                windows.append([start, candidate_end, cause])
+    for start, end in _pairs(scenario.events, *EVENT_KINDS[:2]):
+        held = start if one_shot else scenario.duration if end is None else end
+        window = [start, max(held, start + timeout), "touch released" if held > start + timeout else "timeout"]
+        if not windows or start >= windows[-1][1]:
+            windows.append(window)
+            continue
+        if not one_shot and window[1] > windows[-1][1]:
+            windows[-1][1:] = window[1:]
+        notes.append(TraceEvent(start, "retrigger ignored (one-shot window active)" if one_shot
+                                else "alarm window extended (retrigger)"))
     for start, end, cause in windows:
         notes.append(TraceEvent(start, "trigger high (touch)"))
         notes.append(TraceEvent(end, f"trigger low ({cause})"))
@@ -417,16 +413,16 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     # --- supply-off spans (a, b] ----------------------------------------------
     # Relay gaps plus, without a battery, each outage; an outage that is
     # never restored lasts past the end of the scenario.
-    mains_events = [e for e in scenario.events if e.kind in ("mains_fail", "mains_restore")]
+    mains_events = [e for e in scenario.events if e.kind in EVENT_KINDS[2:]]
     spans = [(e.time, e.time + config.switchover_delay) for e in mains_events]
     if not config.battery_present:
         spans += [(a, math.inf if b is None else b)
-                  for a, b in _pairs(mains_events, "mains_fail", "mains_restore")]
+                  for a, b in _pairs(mains_events, *EVENT_KINDS[2:])]
     off_spans = _merge_spans(spans)
 
     last_mains_kind = {e.time: e.kind for e in mains_events}
     for a, b in off_spans:
-        if last_mains_kind[a] == "mains_fail":
+        if last_mains_kind[a] == EVENT_KINDS[2]:
             what = "supply off (mains failed)" if config.battery_present \
                 else "supply off (mains failed, no battery)"
         else:

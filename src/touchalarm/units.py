@@ -23,20 +23,11 @@ UNITS = tuple(UNIT_SYMBOLS)
 # Accepted unit suffix spellings ("ohm" for plain-ASCII config files).
 _UNIT_SPELLINGS = {**{symbol: unit for unit, symbol in UNIT_SYMBOLS.items() if symbol}, "ohm": "ohm"}
 
-# "u", "µ" (micro sign) and "μ" (Greek mu) all mean micro on input.
-PREFIX_FACTORS = {
-    "p": 1e-12,
-    "n": 1e-9,
-    "u": 1e-6,
-    "µ": 1e-6,
-    "μ": 1e-6,
-    "m": 1e-3,
-    "k": 1e3,
-    "M": 1e6,
-    "G": 1e9,
-}
-
 _OUTPUT_PREFIXES = {-12: "p", -9: "n", -6: "µ", -3: "m", 0: "", 3: "k", 6: "M", 9: "G"}
+
+# Each output prefix; on input "u" and "μ" (Greek mu) also mean micro, as "µ" (micro sign) does.
+PREFIX_FACTORS = {**{prefix: float(f"1e{e}") for e, prefix in _OUTPUT_PREFIXES.items() if prefix},
+                  "u": 1e-6, "μ": 1e-6}
 
 # These units never take a negative magnitude.
 _NONNEGATIVE_UNITS = frozenset({"ohm", "farad", "hertz"})

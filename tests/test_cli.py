@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import touchalarm
+from cli_env import cli_env
 from touchalarm import cli, simulator
 from touchalarm.cli import main
 from touchalarm.units import QUOTE_LIMIT, quoted
@@ -274,13 +274,13 @@ class TestSimulate:
     @pytest.mark.parametrize("circuit", ["vcc = 1e200\n", "speaker_impedance = 1e308\n"],
                              ids=["power", "impedance"])
     def test_overflowing_amplitude_writes_nothing(self, touch_scenario, tmp_path, circuit, flag):
-        # A fresh interpreter: under pytest a RuntimeWarning is an error, which would
-        # turn the old garbage-WAV bug into an exit 4 as well.
+        # A fresh interpreter, with warnings as errors as under pytest: the old garbage-WAV
+        # bug then exits 4 too, but with a RuntimeWarning line instead of this message.
         (tmp_path / "big.circ").write_text(circuit)
         proc = subprocess.run(
             [sys.executable, "-m", "touchalarm", "simulate", "--circuit", str(tmp_path / "big.circ"),
              "--scenario", touch_scenario, flag, str(tmp_path / "out")],
-            env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+            env=cli_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 4
         assert proc.stderr.startswith("computation error: siren amplitude sqrt(")
         assert proc.stderr.count("\n") == 1
@@ -301,13 +301,13 @@ class TestSimulate:
             "r3-verify", "timeout-design", "timeout-verify", "amp-design"])
     def test_overflowing_timing_is_a_design_error(self, touch_scenario, tmp_path, circuit, command,
                                                   message):
-        # A fresh interpreter, so that numpy's RuntimeWarnings print instead of raising.
+        # A fresh interpreter, where a numpy RuntimeWarning is an error that stderr would name.
         (tmp_path / "odd.circ").write_text(circuit)
         argv = {"design": [str(tmp_path / "odd.circ")], "verify": ["--circuit", str(tmp_path / "odd.circ")],
                 "simulate": ["--circuit", str(tmp_path / "odd.circ"), "--scenario", touch_scenario,
                              "--wav", str(tmp_path / "x.wav")]}[command]
         proc = subprocess.run([sys.executable, "-m", "touchalarm", command, *argv],
-                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr.startswith(f"computation error: {message}")
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
@@ -319,7 +319,7 @@ class TestSimulate:
         proc = subprocess.run([sys.executable, "-m", "touchalarm", "simulate", "--circuit",
                                str(tmp_path / "slow.circ"), "--scenario", touch_scenario,
                                "--wav", str(tmp_path / "x.wav")],
-                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert (tmp_path / "x.wav").exists()
 
@@ -520,7 +520,7 @@ class TestInputBudgets:
         argv = [files.get(arg, arg) for arg in argv]
         limited = ["sh", "-c", f'ulimit -v {address_kib} && exec "$0" "$@"', sys.executable, "-m", "touchalarm"]
         began = time.perf_counter()
-        proc = subprocess.run([*limited, *argv], env=_subprocess_env(), capture_output=True, text=True,
+        proc = subprocess.run([*limited, *argv], env=cli_env(), capture_output=True, text=True,
                               timeout=60)
         assert time.perf_counter() - began < seconds
         assert (proc.returncode, proc.stdout) == (3, "")
@@ -644,12 +644,6 @@ class TestUsage:
         assert main(["design", "--color"]) == 2
 
 
-def _subprocess_env():
-    """The environment, with this package's sources first on PYTHONPATH."""
-    src = str(Path(touchalarm.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def _imported(args):
     """Exit code and top-level names of the modules a fresh ``python -X importtime args`` loads."""
     exit_code, modules = _imported_modules(args)
@@ -658,7 +652,7 @@ def _imported(args):
 
 def _imported_modules(args):
     """Exit code and full dotted names of the modules a fresh ``python -X importtime args`` loads."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_subprocess_env(),
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=cli_env(),
                           capture_output=True, text=True, timeout=60)
     modules = {line.rsplit("|", 1)[-1].strip()
                for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -732,13 +726,13 @@ class TestConsoleEntry:
         (tmp_path / "big.circ").write_text("vcc = 1e200\n")
         files = {"MISSING": str(tmp_path / "missing.circ"), "BIG": str(tmp_path / "big.circ")}
         proc = subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
-                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert proc.stderr.count("\n") == (0 if code in (0, 1) else 1)
 
     def test_verify_prints_the_golden_table(self):
         proc = subprocess.run([sys.executable, "-m", "touchalarm", "verify"],
-                              env={**_subprocess_env(), "PYTHONUTF8": "1"}, capture_output=True, timeout=60)
+                              env=cli_env(PYTHONUTF8="1"), capture_output=True, timeout=60)
         golden = Path(__file__).parent / "golden" / "verify_default.txt"
         assert proc.stdout == golden.read_bytes()
 
@@ -751,6 +745,6 @@ class TestConsoleEntry:
                  "run()\n")
         files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
         proc = subprocess.run([sys.executable, "-c", probe, *(files.get(a, a) for a in args)],
-                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stderr == "frozen True\n"

@@ -385,6 +385,8 @@ class TestComputeReport:
         assert report.value("trigger_threshold") == pytest.approx(4.0, rel=1e-12)
         assert report.get("r1_ideal").snapped == 470.0
         assert report.get("r5_ideal").snapped == 4700.0
+        with pytest.raises(KeyError):
+            report.get("no_such_record")
 
     def test_periods_sum_exactly(self):
         report = compute_report(CircuitSpec())

@@ -24,6 +24,7 @@ from touchalarm.export import (
     write_wav,
 )
 from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, Trace, run, timeline
+from touchalarm.units import QUOTE_LIMIT
 
 SPEC = CircuitSpec()
 
@@ -204,6 +205,13 @@ class TestCsvMatchesReference:
     def test_rejects_rates_off_the_grid(self, sample_rate):
         with pytest.raises(ExportError, match="sample_rate must be a positive integer"):
             write_csv(make_trace(3, sample_rate=sample_rate))
+        # So does csv_rows, the encoder that simulate streams through, and neither message
+        # echoes more than QUOTE_LIMIT characters of the rate.
+        longest = len("sample_rate must be a positive integer, got ... (401 characters)") + QUOTE_LIMIT
+        for encode in (write_csv, lambda trace: next(csv_rows(trace))):
+            with pytest.raises(ExportError, match="sample_rate must be a positive integer") as refused:
+                encode(make_trace(3, sample_rate=sample_rate))
+            assert len(str(refused.value)) <= longest
 
     @given(
         # 1024 Hz puts every odd row on an exact half-nanosecond tie
@@ -386,6 +394,13 @@ class TestWav:
         for rate in (8000, 192000):
             check_wav_rate(rate)
             assert parse_wav(write_wav(make_trace(3, sample_rate=rate)))["rate"] == rate
+        # A 401-digit rate prints as its first 80 characters and its length.
+        cut = "1" + "0" * 79 + "... (401 characters)"
+        for refuse in (check_wav_rate, lambda rate: export.wav_header(rate, 3),
+                       lambda rate: write_wav(make_trace(3, sample_rate=rate))):
+            with pytest.raises(ExportError) as refused:
+                refuse(10**400)
+            assert str(refused.value) == f"sample_rate must be an integer in (8000, 192000), got {cut}"
 
     def test_zero_crossing_count_of_steady_tone(self):
         # 1 s of a steady f Hz square has 2f ± 1 sign flips.
@@ -479,6 +494,8 @@ class TestReports:
     def test_bad_format(self):
         with pytest.raises(ExportError):
             write_report(compute_report(SPEC), "json")
+        with pytest.raises(ExportError, match="^cannot render object$"):
+            write_report(object())
 
     def test_deterministic(self):
         report = compute_report(SPEC)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_env import cli_env
 from touchalarm.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,8 +108,7 @@ def test_readme_shell_examples(tmp_path):
     shim.parent.mkdir()
     shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m touchalarm "$@"\n')
     shim.chmod(0o755)
-    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}",
-               PYTHONPATH=str(ROOT / "src"), PYTHONUTF8="1")
+    env = cli_env(PATH=f"{shim.parent}{os.pathsep}{os.environ.get('PATH', '')}", PYTHONUTF8="1")
     work = tmp_path / "work"
     work.mkdir()
     for command, shown in examples:

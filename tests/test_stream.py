@@ -4,7 +4,6 @@ and the output files appear all together or not at all."""
 import collections
 import functools
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import touchalarm
+from cli_env import cli_env
 from touchalarm import cli, design, export, simulator
 from touchalarm.cli import main
 from touchalarm.export import write_csv, write_wav
 from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, run
+from touchalarm.units import quoted
 
 # A 1.137 ms trigger timeout and a 3.1 ms modulator period, so windows,
 # relay gaps and modulator edges all fit in a few hundred samples.
@@ -175,8 +175,6 @@ def job_usage(args, address_kib=None):
     It is started from a small Python: a child's peak RSS counts its parent's
     size at the fork.  ``address_kib`` limits its address space (``ulimit -v``).
     """
-    src = str(Path(touchalarm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     job = [sys.executable, "-m", "touchalarm", *args]
     if address_kib is not None:
         job = ["sh", "-c", f'ulimit -v {address_kib} && exec "$0" "$@"', *job]
@@ -185,7 +183,7 @@ def job_usage(args, address_kib=None):
              "_, status, usage = os.wait4(job.pid, 0); "
              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)")
     out = subprocess.run([sys.executable, "-c", probe, *job],
-                         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+                         env=cli_env(), capture_output=True, text=True, timeout=60, check=True).stdout
     code, kib, minflt = map(int, out.split())
     assert code == 0
     return kib * 1024, minflt  # Linux counts ru_maxrss in KiB
@@ -315,6 +313,16 @@ class TestAllOrNothing:
                      "--wav", str(tmp_path / "." / "both")]) == 2
         assert capsys.readouterr().err == "usage error: --csv and --wav name the same file\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("csv, wav", [("out.wav.partial", "out.wav"), ("out.csv", "out.csv.partial")])
+    def test_a_target_that_is_another_targets_temp_file_is_a_usage_error(self, tmp_path, capsys, csv, wav):
+        (tmp_path / "t.scn").write_text("1.0 touch_start\n1.2 touch_end\nduration 3\n")
+        csv, wav = str(tmp_path / csv), str(tmp_path / wav)
+        assert main(["simulate", "--scenario", str(tmp_path / "t.scn"), "--csv", csv, "--wav", wav]) == 2
+        temp, target = (csv, wav) if csv.endswith(".partial") else (wav, csv)
+        assert capsys.readouterr() == ("", f"usage error: {quoted(temp)} is an output and the temp file "
+                                           f"of {quoted(target)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.scn"]
 
     def test_failure_mid_stream_keeps_old_targets(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "t.scn").write_text("1.0 touch_start\nduration 10\n")  # three chunks

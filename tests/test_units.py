@@ -333,6 +333,8 @@ class TestQuantityInvariants:
     def test_rejects_unknown_unit(self):
         with pytest.raises(QuantityError):
             Quantity(1.0, "furlong")
+        with pytest.raises(QuantityError, match="^unknown unit tag 'bogus'$"):
+            parse_quantity("1", "bogus")
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(QuantityError):
