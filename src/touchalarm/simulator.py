@@ -326,9 +326,13 @@ class Timeline(NamedTuple):
             # 2·f·phase, the phase counted from the last modulator edge
             np.multiply(2.0 * freq_mod_high, position, out=out, where=high)
             np.multiply(2.0 * freq_mod_low, np.subtract(position, t1, out=out, where=low), out=out, where=low)
-            # floor(2·f·phase)/2 has a fraction of 0.5 where it is odd; 1 - 4·fraction is ±1
-            np.modf(np.multiply(np.floor(out, out=out), 0.5, out=out), out=(out, freq))
-            np.multiply(self.amplitude, np.add(np.multiply(out, -4.0, out=out), 1.0, out=out), out=out)
+            # It lies in [0, n_samples) (f below Nyquist, phase within the run), so truncating it
+            # gives its floor, whose parity picks the sign.  freq's buffer is written last, and
+            # take's default mode would copy out through a buffer of its size.
+            parity = freq.view(np.intp)
+            parity[...] = out
+            np.bitwise_and(parity, 1, out=parity)
+            np.take((self.amplitude, -self.amplitude), parity, out=out, mode="wrap")
             freq.fill(freq_mod_low)
             np.copyto(freq, freq_mod_high, where=high)
         return piece
@@ -336,20 +340,24 @@ class Timeline(NamedTuple):
     def _position(self, elapsed: np.ndarray) -> np.ndarray:
         """``np.fmod(elapsed, period)`` bit for bit, for increasing ``elapsed >= 0``: cycle k,
         with ``hi + lo == k·period`` exactly, starts at the first sample ``>= hi``, or ``> hi``
-        where ``hi`` rounded down; in it ``(elapsed - hi) - lo`` is exact (Sterbenz).
+        where ``hi`` rounded down; in it ``(elapsed - hi) - lo`` is exact (Sterbenz).  A stretch
+        inside one cycle (common, as each relay gap restarts the modulator) takes ``hi`` and
+        ``lo`` as scalars; only one spanning several cycles builds per-sample offsets.
         """
         period = self.modulator.period
-        ends = elapsed[[0, -1]]
-        k_first, k_last = np.rint((ends - np.fmod(ends, period)) / period)
+        k_first, k_last = (round((e - math.fmod(e, period)) / period)
+                           for e in (float(elapsed[0]), float(elapsed[-1])))
         # period's top 26 and low 27 mantissa bits times k are exact (k < 2**25: MAX_SAMPLES, Nyquist)
-        top = (np.float64(period).view(np.uint64) & ~np.uint64(2**27 - 1)).view(np.float64)
-        cycles = np.arange(k_first, k_last + 1)
+        mantissa, exponent = math.frexp(period)
+        top = math.ldexp(math.floor(math.ldexp(mantissa, 26)), exponent - 26)
+        cycles = k_first if k_first == k_last else np.arange(k_first, k_last + 1)
         hi = cycles * period
         lo = (cycles * top - hi) + cycles * (period - top)
-        starts = np.searchsorted(elapsed, np.where(lo > 0, np.nextafter(hi, np.inf), hi))
-        counts = np.diff(np.append(starts, len(elapsed)))
-        elapsed -= np.repeat(hi, counts)
-        elapsed -= np.repeat(lo, counts)
+        if k_first < k_last:
+            starts = np.searchsorted(elapsed, np.where(lo > 0, np.nextafter(hi, np.inf), hi))
+            counts = np.diff(np.append(starts, len(elapsed)))
+        for offset in (hi, lo):  # one at a time: a repeated offset is as long as the stretch
+            elapsed -= offset if k_first == k_last else np.repeat(offset, counts)
         return elapsed
 
     def chunks(self) -> Iterator[Trace]:

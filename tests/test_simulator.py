@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import timeline_oracle as oracle
@@ -750,14 +750,21 @@ class TestChannelsMatchReference:
         tie=st.floats(0, 1),
         cycles=st.integers(1, 60),
         ulps=st.integers(-3, 3),
+        one_cycle=st.booleans(),
     )
+    # the slice lies in cycle 2 and its last sample rounds onto the start of cycle 3
+    @example(rate=16000, i0=12345, n=5000, ref=0.0, tie=0.5, cycles=60, ulps=1, one_cycle=True)
     @settings(max_examples=300, deadline=None)
-    def test_position_is_fmod(self, rate, i0, n, ref, tie, cycles, ulps):
+    def test_position_is_fmod(self, rate, i0, n, ref, tie, cycles, ulps, one_cycle):
         """Periods within a few ulps of ``elapsed / cycles`` for one sample, at the ends
-        or inside, so ``cycles·period`` rounds onto, past or short of that sample."""
+        or inside, so ``cycles·period`` rounds onto, past or short of that sample.  With
+        ``one_cycle`` that sample is the last one and ``cycles`` is cut so that the first
+        lies in cycle ``cycles - 1``: the slice sits inside one cycle, or ends just in the next."""
         times = np.arange(i0, i0 + n) / rate
         elapsed = times - ref * times[0]
         tie = int(tie * (n - 1))
+        if one_cycle and n > 1:
+            tie, cycles = n - 1, max(1, min(cycles, int(elapsed[-1] / (elapsed[-1] - elapsed[0]))))
         period = elapsed[tie] / cycles
         for _ in range(abs(ulps)):
             period = np.nextafter(period, np.inf if ulps > 0 else 0)
@@ -767,6 +774,21 @@ class TestChannelsMatchReference:
             0.5 * period, 0.5 * period, period, 1.0 / period, 0.5))
         got = whole._position(elapsed.copy())
         assert np.array_equal(got.view(np.uint64), np.fmod(elapsed, period).view(np.uint64))
+
+    def test_parity_at_the_sample_limit(self):
+        """A held touch of ``MAX_SAMPLES`` samples, the modulator high throughout and the
+        carrier just under Nyquist: at the last samples 2·f·phase is just under 2**26."""
+        rate = 16000
+        whole = simulator.timeline(CircuitSpec(c6=0.3),
+                                   _scenario((0.0, "touch_start"), duration=simulator.MAX_SAMPLES / rate),
+                                   SimConfig(sample_rate=rate, ideal_pair=(7999.0, 7998.5)))
+        n = whole.n_samples
+        piece = whole.render(n - 5000, n)
+        assert n == simulator.MAX_SAMPLES and piece.modulator_high.all()
+        assert 0.9998 * 2**26 < 2 * 7999.0 * piece.times[-1] < 2**26
+        for name, want in reference_channels(whole, n - 5000, n)._asdict().items():
+            bits = np.uint64 if want.dtype == np.float64 else np.uint8
+            assert np.array_equal(getattr(piece, name).view(bits), want.view(bits)), name
 
     @given(
         rate=st.sampled_from(CHANNEL_RATES + [8192, 22050]),

@@ -221,6 +221,24 @@ class TestBoundedMemory:
         assert piece.n_samples == simulator.CHUNK and piece.speaker.all()
         assert peak < 2 * 2**20  # the piece's CSV is 3.5 MiB
 
+    @pytest.mark.parametrize("c6, arrays", [(47e-6, 2), (0.3, 1)], ids=["cycles", "one_cycle"])
+    def test_render_adds_no_chunk_sized_temporary(self, c6, arrays):
+        # Beyond its channels a piece holds its sample grid and, where the stretch spans several
+        # modulator cycles, one repeated cycle offset at a time: CHUNK floats each.  A sign picked
+        # through an integer copy of 2·f·phase, or a one-cycle stretch given per-sample offsets,
+        # adds one more.
+        line = simulator.timeline(design.CircuitSpec(c6=c6),
+                                  Scenario((ScenarioEvent(0.0, "touch_start"),), 10.0), SimConfig())
+        tracemalloc.start()
+        try:
+            piece = line.render(simulator.CHUNK, 2 * simulator.CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        channels = sum(getattr(piece, name).nbytes for name in CHANNELS[1:])
+        assert piece.n_samples == simulator.CHUNK and piece.speaker.all()
+        assert peak - channels < (arrays + 0.5) * piece.times.nbytes
+
     def test_csv_adds_little_to_a_wav_job(self, tmp_path):
         (tmp_path / "touch.scn").write_text("0.5 touch_start\n3.0 touch_end\nduration 5\n")
         wav = ["simulate", "--scenario", str(tmp_path / "touch.scn"), "--wav", str(tmp_path / "t.wav")]
