@@ -22,7 +22,6 @@ from .units import (E6, E12, Quantity, QuantityError, format_quantity, lines, pa
                     snap_preferred)
 
 LN2 = math.log(2.0)
-LN3 = math.log(3.0)
 
 # The 555 control pin sits on an internal 5k/5k/5k ladder: seen from the pin
 # that is a 2/3·Vcc source behind 5k ∥ 10k.
@@ -104,14 +103,10 @@ class CircuitSpec(NamedTuple):
         _require("a finite number", **fields)
         _require("> 0", **{name: value for name, value in fields.items()
                            if FIELD_UNITS[name] in ("ohm", "farad", "ampere", "hertz", "watt")})
-        for name, value in fields.items():
-            if FIELD_UNITS[name] == "volt" and value < 0:
-                raise DesignError(f"{name}: voltage must be >= 0")
+        _require(">= 0", **{name: value for name, value in fields.items() if FIELD_UNITS[name] == "volt"})
         _require("in (0, 1)", ripple_factor=self.ripple_factor)
-        if self.tr1_hfe < 1 or self.tr2_hfe < 1:
-            raise DesignError("tr1_hfe/tr2_hfe: gain must be >= 1")
-        if self.tr1_saturation_factor < 1:
-            raise DesignError("tr1_saturation_factor: must be >= 1")
+        _require(">= 1", tr1_hfe=self.tr1_hfe, tr2_hfe=self.tr2_hfe,
+                 tr1_saturation_factor=self.tr1_saturation_factor)
         if self.vcc <= self.v_be:
             raise DesignError("vcc: must exceed v_be")
         if self.transformer_secondary < self.regulator_voltage:
@@ -189,16 +184,12 @@ def stage(quantity: str, fn, *args):
         raise DesignError(f"{quantity}: {exc}") from exc
 
 
-def monostable_period(r: float, c: float, model: str = "approx") -> float:
-    """One-shot pulse width: 1.1·R·C (approx) or R·C·ln 3 (exact)."""
+def monostable_period(r: float, c: float) -> float:
+    """One-shot pulse width: 1.1·R·C."""
     _require("a finite number", r=r, c=c)
     _require("> 0", r=r)
     _require(">= 0", c=c)
-    if model == "approx":
-        return 1.1 * r * c
-    if model == "exact":
-        return r * c * LN3
-    raise DesignError(f"model: expected 'approx' or 'exact', got {model!r}")
+    return 1.1 * r * c
 
 
 class AstableTimes(NamedTuple):
@@ -255,7 +246,7 @@ def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
     """
     _require("a finite number", vcc=vcc, r9=r9)
     _require("> 0", vcc=vcc, r9=r9)
-    _require("a finite number", **{"1/r9": 1.0 / r9})
+    _require("a finite number", **{"1/r9": 1.0 / r9, "vcc/r9": vcc / r9})
     r_th = CONTROL_PIN_THEVENIN_OHMS
     internal = (2.0 / 3.0) * vcc / r_th
     conductance = 1.0 / r_th + 1.0 / r9
@@ -272,15 +263,15 @@ class LedResistor(NamedTuple):
     i_actual: float
 
 
-def led_resistor(vcc: float, v_led: float, i_led: float) -> LedResistor:
-    """Current-limiting resistor: (Vcc − V_led)/I_led, snapped to E12."""
-    _require("a finite number", vcc=vcc, v_led=v_led, i_led=i_led)
-    if vcc <= v_led:
-        raise DesignError(f"vcc: must exceed v_led ({vcc!r} <= {v_led!r})")
+def led_resistor(v_supply: float, v_led: float, i_led: float) -> LedResistor:
+    """Current-limiting resistor: (V_supply − V_led)/I_led, snapped to E12."""
+    _require("a finite number", v_supply=v_supply, v_led=v_led, i_led=i_led)
+    if v_supply <= v_led:
+        raise DesignError(f"v_supply: must exceed v_led ({v_supply!r} <= {v_led!r})")
     _require("> 0", i_led=i_led)
-    r_ideal = (vcc - v_led) / i_led
+    r_ideal = (v_supply - v_led) / i_led
     r_snapped = stage("r_ideal", snap_preferred, r_ideal, E12)
-    return LedResistor(r_ideal, r_snapped, (vcc - v_led) / r_snapped)
+    return LedResistor(r_ideal, r_snapped, (v_supply - v_led) / r_snapped)
 
 
 class FilterCapacitor(NamedTuple):
@@ -433,7 +424,7 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
     records.append(DesignRecord("filter_c_ideal", filt.c_ideal, "farad",
                                 "1/(4*sqrt(3)*f*y*r_load)", filt.c_snapped))
 
-    timeout = stage("trigger_timeout", monostable_period, spec.r3, spec.c2, "approx")
+    timeout = stage("trigger_timeout", monostable_period, spec.r3, spec.c2)
     records.append(DesignRecord("trigger_timeout", timeout, "second", "1.1*r3*c2"))
     if not timeout or math.isinf(1.0 / timeout):
         raise DesignError(f"trigger_frequency: 1/{timeout!r} s is not finite")
@@ -563,10 +554,6 @@ def write_report(report: DesignReport | ErrataReport, format: str = "text") -> b
     return text.encode("utf-8")
 
 
-def _snapped_name(name: str) -> str:
-    return name[: -len("_ideal")] + "_snapped" if name.endswith("_ideal") else name + "_snapped"
-
-
 def _table(rows: list[tuple[str, str, str, str]], align: str) -> str:
     """Four-cell rows as aligned text lines: the first three cells are padded to their column's
     widest, on the side that ``align`` gives each (``<`` or ``>``), and the cells are two spaces apart."""
@@ -581,7 +568,7 @@ def _design_kv(report: DesignReport) -> str:
     for record in report:
         lines.append(f"{record.name}={format_quantity(Quantity(record.ideal, record.unit))}")
         if record.snapped is not None:
-            lines.append(f"{_snapped_name(record.name)}="
+            lines.append(f"{record.name.replace('_ideal', '_snapped')}="
                          f"{format_quantity(Quantity(record.snapped, record.unit))}")
     return "\n".join(lines) + "\n"
 

@@ -375,7 +375,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     scenario.validate()
     config.validate()
 
-    timeout = design.monostable_period(spec.r3, spec.c2, "approx")
+    timeout = design.monostable_period(spec.r3, spec.c2)
     # The report's names, so a failing oscillator is named as ``design`` names it.
     modulator = design.stage("low_t1", design.astable_times, spec.r11, spec.r12, spec.c6)
     freq_mod_high, freq_mod_low = (config.ideal_pair if config.ideal_pair is not None
@@ -585,8 +585,7 @@ def timeout_samples(spec: design.CircuitSpec, rel_tolerance: float, seed: int, i
             stop = min(start + block, i1)
             doubles = _default_rng_doubles(seed, np.arange(start, stop, dtype=np.uint32))
             r3, c2 = (lo + (hi - lo) * u for (lo, hi), u in zip(bands, doubles))  # Generator.uniform's arithmetic
-            if not np.all(r3 > 0):
-                raise design.DesignError("r: must be > 0, got 0.0")
+            design._require("> 0", r=float(r3.min()))
             samples[start - i0:stop - i0] = 1.1 * r3 * c2
     return samples
 
@@ -607,7 +606,7 @@ def monte_carlo_timeout(
     Run ``i`` draws r3 and then c2 uniformly from [nominal·(1−tol),
     nominal·(1+tol)], with the same two doubles and the same arithmetic as
     ``np.random.default_rng((seed, i)).uniform`` followed by
-    ``design.monostable_period(r3, c2, "approx")``, so every sample is
+    ``design.monostable_period(r3, c2)``, so every sample is
     bit-identical to a per-run generator loop and independent of execution
     order.  The generators are not built: numpy's SeedSequence mixing and
     PCG64 seeding and stepping are computed in uint32/uint64 array

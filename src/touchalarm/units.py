@@ -254,7 +254,4 @@ def snap_preferred(x: float, series: ESeries | str = E12, mode: str = "nearest")
         if not above:
             raise QuantityError(f"{x!r} is above the representable range")
         return min(above)
-    below = [c for c in candidates if c <= x]
-    if not below:
-        raise QuantityError(f"{x!r} is below the representable range")
-    return max(below)
+    return max(c for c in candidates if c <= x)

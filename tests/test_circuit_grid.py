@@ -65,16 +65,20 @@ def test_extreme_field_values(field, tmp_path):
     assert not failures, "\n".join(failures)
 
 
-# (circuit that sets several fields, the one stderr line of design and verify)
+# (circuit that sets several fields, the commands that refuse it, their one stderr line)
 SEVERAL_FIELDS = [
     # vcc / relay_coil_resistance underflows to a base current of 0
-    ("vcc = 1e-300\nv_be = 0\nv_led = 0\nrelay_coil_resistance = 1e300\n",
+    ("vcc = 1e-300\nv_be = 0\nv_led = 0\nrelay_coil_resistance = 1e300\n", ("design", "verify"),
      "computation error: r5_ideal: i_b: must be > 0, got 0.0\n"),
+    # 1/r9 is finite but vcc/r9 overflows
+    ("vcc = 1e10\nr9 = 1e-300\n", ("design", "verify", "simulate"),
+     "computation error: f_lo_tone: vcc/r9: must be a finite number, got inf\n"),
 ]
 
 
-@pytest.mark.parametrize("circuit, message", SEVERAL_FIELDS, ids=["base-current-underflow"])
-def test_several_fields_at_once(circuit, message, tmp_path):
+@pytest.mark.parametrize("circuit, refusing, message", SEVERAL_FIELDS,
+                         ids=["base-current-underflow", "control-pin-overflow"])
+def test_several_fields_at_once(circuit, refusing, message, tmp_path):
     scenario = tmp_path / "s.scn"
     scenario.write_text("0.1 touch_start\n0.2 touch_end\nduration 1\n")
     (tmp_path / "c.circ").write_text(circuit)
@@ -84,5 +88,5 @@ def test_several_fields_at_once(circuit, message, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([files.get(arg, arg) for arg in argv])
         assert _problem(command, code, err.getvalue()) is None, (command, err.getvalue())
-        expected = (4, message) if command in ("design", "verify") else (0, "")
+        expected = (4, message) if command in refusing else (0, "")
         assert (code, err.getvalue()) == expected, command

@@ -65,6 +65,13 @@ class TestDesign:
         assert main(["design", str(bad)]) == 4
         assert "computation error" in capsys.readouterr().err
 
+    def test_led1_error_names_the_secondary_supply(self, tmp_path, capsys):
+        # r1 runs from the transformer secondary (18 V by default), not from vcc
+        (tmp_path / "led.circ").write_text("v_led = 20\n")
+        assert main(["design", str(tmp_path / "led.circ")]) == 4
+        assert capsys.readouterr().err == \
+            "computation error: r1_ideal: v_supply: must exceed v_led (18.0 <= 20.0)\n"
+
     def test_unwritable_out_leaves_no_file(self, tmp_path):
         assert main(["design", "--out", str(tmp_path / "no" / "dir" / "r.txt")]) == 3
 

@@ -830,7 +830,7 @@ def reference_samples(spec, rel_tolerance, seed, indices):
         rng = np.random.default_rng((seed, int(index)))
         r3 = rng.uniform(r3_lo, r3_hi)
         c2 = rng.uniform(c2_lo, c2_hi)
-        samples[k] = design.monostable_period(r3, c2, "approx")
+        samples[k] = design.monostable_period(r3, c2)
     return samples
 
 

@@ -45,7 +45,7 @@ def edge_scenario(rate, chunk, battery):
     """
     m1 = chunk * math.ceil(60 / chunk)
     m2 = m1 + chunk * math.ceil(120 / chunk)
-    half_timeout = math.ceil(design.monostable_period(SPEC.r3, SPEC.c2, "approx") * rate / 2)
+    half_timeout = math.ceil(design.monostable_period(SPEC.r3, SPEC.c2) * rate / 2)
     events = [(m1 - half_timeout, "touch_start"), (m1 + 40, "touch_end"),
               (m2 - 60, "touch_start"), (m2 - 4, "mains_fail")]
     if battery:

@@ -275,6 +275,27 @@ def test_snap_up_down_bounds(x, series):
     assert snap_preferred(x, series, "down") <= x
 
 
+# Tiny values (k·5e-324) and each decade edge 10^d with the float just below it.
+DOWN_EDGES = [k * 5e-324 for k in range(1, 2001)] + [
+    x for d in range(-323, 309) for x in (float(f"1e{d}"), math.nextafter(float(f"1e{d}"), 0.0))]
+
+
+def test_snap_down_finds_a_member_at_every_edge():
+    # Some candidate one decade down is > 0 and <= x, so "down" never comes back empty.
+    for series in (E6, E12, E24, E96):
+        for x in DOWN_EDGES:
+            assert 0 < snap_preferred(x, series, "down") <= x, (series.name, x)
+
+
+@given(
+    x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    series=st.sampled_from([E6, E12, E24, E96]),
+)
+@settings(max_examples=300)
+def test_snap_down_finds_a_member_below_every_positive_float(x, series):
+    assert 0 < snap_preferred(x, series, "down") <= x
+
+
 @given(
     mantissa_index=st.integers(min_value=0, max_value=11),
     decade=st.integers(min_value=-10, max_value=10),

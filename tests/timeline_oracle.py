@@ -51,7 +51,7 @@ def _windows(scenario, config, timeout):
 
 def expected_channels(spec, scenario, config):
     """Return per-sample lists: supply, trigger, modulator, carrier, speaker."""
-    timeout = design.monostable_period(spec.r3, spec.c2, "approx")
+    timeout = design.monostable_period(spec.r3, spec.c2)
     modulator = design.astable_times(spec.r11, spec.r12, spec.c6)
     if config.ideal_pair is not None:
         f_mod_high, f_mod_low = config.ideal_pair
