@@ -130,14 +130,13 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
     return design.parse_circuit(_read_input(path, design.CircuitFileError))
 
 
-@contextlib.contextmanager
-def _atomic_files(paths):
-    """Open a ``.partial`` file for each path; rename them all once the block succeeds.
+def _write_files(paths, pieces) -> None:
+    """Write each ``(i, blocks)`` of ``pieces`` to a ``.partial`` file of ``paths[i]``; then rename them all.
 
     A target that is a directory or another target's ``.partial`` file is
     refused before anything is opened, and a ``.partial`` file that cannot be
-    opened is reported under its target's name.  Any failure removes every
-    ``.partial`` file and leaves every target alone.
+    opened, written, closed or renamed is reported under its target's name.  Any
+    failure removes every ``.partial`` file and leaves every target alone.
     """
     targets = [Path(path) for path in paths]
     temps = [target.with_name(target.name + ".partial") for target in targets]
@@ -148,27 +147,27 @@ def _atomic_files(paths):
     for target in targets:
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-    with contextlib.ExitStack() as stack:
-        files = []
-        for tmp, target in zip(temps, targets):
-            stack.callback(tmp.unlink, missing_ok=True)  # gone already after a successful rename
-            try:
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for i, tmp in enumerate(temps):
+                stack.callback(tmp.unlink, missing_ok=True)  # gone already after a successful rename
                 files.append(stack.enter_context(open(tmp, "wb")))
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, str(target)) from None
-        yield files
-        for file in files:
-            file.close()
-        for tmp, target in zip(temps, targets):
-            os.replace(tmp, target)
+            for i, blocks in pieces:
+                files[i].writelines(blocks)
+            for i, file in enumerate(files):
+                file.close()
+            for i, (tmp, target) in enumerate(zip(temps, targets)):
+                os.replace(tmp, target)
+    except OSError as exc:  # raised for output i, once every .partial file is closed and removed
+        raise OSError(exc.errno, exc.strerror, str(targets[i])) from None
 
 
 def _emit(blob: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(blob.decode("utf-8"))
     else:
-        with _atomic_files([out]) as (file,):
-            file.write(blob)
+        _write_files([out], [(0, [blob])])
 
 
 def cmd_design(args) -> int:
@@ -214,12 +213,13 @@ def cmd_simulate(args) -> int:
         outputs.append((args.wav, export.wav_header(timeline.sample_rate, timeline.n_samples),
                         lambda chunk: (export.wav_pcm(chunk.speaker, chunk.amplitude),)))
     paths, headers, encoders = zip(*outputs)
-    with _atomic_files(paths) as files:
-        for file, header in zip(files, headers):
-            file.write(header)
+
+    def pieces():  # (output, blocks): each header, then each chunk as every output encodes it
+        yield from enumerate([header] for header in headers)
         for chunk in timeline.chunks():
-            for file, encode in zip(files, encoders):
-                file.writelines(encode(chunk))
+            yield from enumerate(encode(chunk) for encode in encoders)
+
+    _write_files(paths, pieces())
 
     sounding = format_quantity(Quantity(timeline.sounding_seconds, "second"))
     sys.stdout.write(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n")

@@ -189,7 +189,9 @@ def monostable_period(r: float, c: float) -> float:
     _require("a finite number", r=r, c=c)
     _require("> 0", r=r)
     _require(">= 0", c=c)
-    return 1.1 * r * c
+    period = 1.1 * r * c
+    _require("a finite number", **{"1.1*r*c": period})
+    return period
 
 
 class AstableTimes(NamedTuple):
@@ -254,7 +256,9 @@ def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
     def node(v_mod: float) -> float:
         return (internal + v_mod / r9) / conductance
 
-    return ModulationVoltages(v_ctl_low=node(0.0), v_ctl_high=node(vcc))
+    volts = ModulationVoltages(v_ctl_low=node(0.0), v_ctl_high=node(vcc))
+    _require("a finite number", v_ctl_high=volts.v_ctl_high)
+    return volts
 
 
 class LedResistor(NamedTuple):
@@ -271,7 +275,9 @@ def led_resistor(v_supply: float, v_led: float, i_led: float) -> LedResistor:
     _require("> 0", i_led=i_led)
     r_ideal = (v_supply - v_led) / i_led
     r_snapped = stage("r_ideal", snap_preferred, r_ideal, E12)
-    return LedResistor(r_ideal, r_snapped, (v_supply - v_led) / r_snapped)
+    i_actual = (v_supply - v_led) / r_snapped
+    _require("a finite number", i_actual=i_actual)
+    return LedResistor(r_ideal, r_snapped, i_actual)
 
 
 class FilterCapacitor(NamedTuple):
@@ -303,6 +309,7 @@ def peak_inverse_voltage(v_secondary: float, diode_rating: float) -> PivCheck:
     _require("a finite number", v_secondary=v_secondary, diode_rating=diode_rating)
     _require(">= 0", v_secondary=v_secondary)
     piv = 2.0 * v_secondary
+    _require("a finite number", **{"2*v_secondary": piv})
     return PivCheck(piv, piv < diode_rating)
 
 
@@ -349,7 +356,9 @@ def amplifier_power(vcc: float, v_be: float, r_base: float, hfe: float) -> Ampli
     _require(">= 1", hfe=hfe)
     i_b = (vcc - v_be) / r_base
     i_e = (1.0 + hfe) * i_b
-    return AmplifierPower(i_b, i_e, i_e * vcc)
+    power = AmplifierPower(i_b, i_e, i_e * vcc)
+    _require("a finite number", **power._asdict())
+    return power
 
 
 def trigger_threshold(vcc: float) -> float:
@@ -390,13 +399,6 @@ class DesignReport(_Named):
 
     def value(self, name: str) -> float:
         return self.get(name).ideal
-
-
-def siren_tones(spec: CircuitSpec) -> tuple[float, float]:
-    """The carrier frequencies ``(f_lo_tone, f_hi_tone)`` while the modulator is high and low."""
-    volts = stage("f_lo_tone", modulation_voltages, spec.vcc, spec.r9)
-    return tuple(stage(name, astable_times_cv, spec.r7, spec.r8, spec.c4, spec.vcc, v_ctl).frequency
-                 for name, v_ctl in (("f_lo_tone", volts.v_ctl_high), ("f_hi_tone", volts.v_ctl_low)))
 
 
 def compute_report(spec: CircuitSpec) -> DesignReport:
@@ -456,11 +458,10 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
     records.append(DesignRecord("amp_i_e", amp.i_e, "ampere", "(1+hfe)*i_b"))
     records.append(DesignRecord("amp_p_out", amp.p_out, "watt", "i_e*vcc"))
 
-    f_lo_tone, f_hi_tone = siren_tones(spec)
-    records.append(DesignRecord("f_lo_tone", f_lo_tone, "hertz", "cv(v_ctl_high)"))
-    records.append(DesignRecord("f_hi_tone", f_hi_tone, "hertz", "cv(v_ctl_low)"))
-
-    _require("a finite number", **{record.name: record.ideal for record in records})  # so every figure prints
+    volts = stage("f_lo_tone", modulation_voltages, spec.vcc, spec.r9)
+    for name, v_ctl in (("f_lo_tone", "v_ctl_high"), ("f_hi_tone", "v_ctl_low")):
+        times = stage(name, astable_times_cv, spec.r7, spec.r8, spec.c4, spec.vcc, getattr(volts, v_ctl))
+        records.append(DesignRecord(name, times.frequency, "hertz", f"cv({v_ctl})"))
     return DesignReport(records)
 
 

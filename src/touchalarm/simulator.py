@@ -368,18 +368,19 @@ class Timeline(NamedTuple):
 
 def timeline(spec: design.CircuitSpec, scenario: Scenario,
              config: SimConfig | None = None) -> Timeline:
-    """Validate the inputs, check the budgets and build the scenario's timeline."""
+    """Validate the inputs, check the budgets and build the scenario's timeline from the
+    circuit's figures in ``design.compute_report(spec)``, raising whatever that raises."""
     if config is None:
         config = SimConfig()
     spec.validate()
     scenario.validate()
     config.validate()
 
-    timeout = design.monostable_period(spec.r3, spec.c2)
-    # The report's names, so a failing oscillator is named as ``design`` names it.
-    modulator = design.stage("low_t1", design.astable_times, spec.r11, spec.r12, spec.c6)
+    report = design.compute_report(spec)
+    timeout = report.value("trigger_timeout")
+    modulator = design.AstableTimes(*(report.value(f"low_{x}") for x in ("t1", "t2", "period", "freq", "duty")))
     freq_mod_high, freq_mod_low = (config.ideal_pair if config.ideal_pair is not None
-                                   else design.siren_tones(spec))
+                                   else (report.value("f_lo_tone"), report.value("f_hi_tone")))
     for name, frequency in (("carrier", max(freq_mod_high, freq_mod_low)), ("modulator", modulator.frequency)):
         if config.sample_rate <= 2.0 * frequency:
             raise SimulationError(
@@ -390,11 +391,11 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
             f"{scenario.duration:g} s at {config.sample_rate:g} Hz needs {requested:.4g} "
             f"samples, over the limit of {MAX_SAMPLES}"
         )
-    power = design.amplifier_power(spec.vcc, spec.v_be, spec.amp_base_resistance, spec.tr2_hfe)
-    amplitude = math.sqrt(power.p_out * spec.speaker_impedance)
+    p_out = report.value("amp_p_out")
+    amplitude = math.sqrt(p_out * spec.speaker_impedance)
     if not math.isfinite(amplitude):
         raise design.DesignError(
-            f"siren amplitude sqrt({power.p_out:g} W * {spec.speaker_impedance:g} Ω) is not finite")
+            f"siren amplitude sqrt({p_out:g} W * {spec.speaker_impedance:g} Ω) is not finite")
 
     notes: list[TraceEvent] = [
         TraceEvent(event.time, f"event {event.kind}") for event in scenario.events
@@ -606,7 +607,7 @@ def monte_carlo_timeout(
     Run ``i`` draws r3 and then c2 uniformly from [nominal·(1−tol),
     nominal·(1+tol)], with the same two doubles and the same arithmetic as
     ``np.random.default_rng((seed, i)).uniform`` followed by
-    ``design.monostable_period(r3, c2)``, so every sample is
+    ``monostable_period(r3, c2)``, so every sample is
     bit-identical to a per-run generator loop and independent of execution
     order.  The generators are not built: numpy's SeedSequence mixing and
     PCG64 seeding and stepping are computed in uint32/uint64 array

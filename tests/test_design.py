@@ -1,10 +1,11 @@
 """Design equations, report assembly, and the reference-figure audit."""
 
+import inspect
 import math
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from touchalarm.design import (
@@ -501,6 +502,13 @@ class TestVerifyReferenceValues:
             rel = abs(entry.computed - entry.claimed) / abs(entry.claimed)
             assert (entry.verdict == "MATCH") == (rel <= entry.tolerance)
 
+    def test_tolerance_equal_to_the_error_matches(self):
+        report = compute_report(CircuitSpec())
+        for entry in verify_reference_values(report):
+            rel = abs(entry.computed - entry.claimed) / abs(entry.claimed)
+            if rel:
+                assert verify_reference_values(report, rel).get(entry.name).verdict == "MATCH", entry.name
+
 
 class TestCircuitFile:
     def test_defaults_from_empty_text(self):
@@ -552,6 +560,7 @@ class TestCircuitSpecValidation:
     def test_secondary_covers_regulator(self):
         with pytest.raises(DesignError, match="transformer_secondary"):
             CircuitSpec(transformer_secondary=10.0).validate()
+        CircuitSpec(transformer_secondary=12.0, regulator_voltage=12.0).validate()  # equal is enough
 
     def test_ripple_factor_range(self):
         with pytest.raises(DesignError, match="ripple_factor"):
@@ -649,6 +658,11 @@ REJECTIONS = [
     (base_resistor, (1e-300, 0.0, 1e300, 25.0, 2.0), "i_b: must be > 0, got 0.0"),
     (led_resistor, (1e300, 0.0, 1e-300), "r_ideal: snap needs a positive finite value, got inf"),
     (filter_capacitor, (1e-320, 0.05, 12.0, 0.5), "c_ideal: snap needs a positive finite value, got inf"),
+    (monostable_period, (12.0, 1.7e308), "1.1*r*c: must be a finite number, got inf"),
+    (led_resistor, (0.5, 5e-324, 1.7e308), "i_actual: must be a finite number, got inf"),
+    (peak_inverse_voltage, (1.7e308, 1.0), "2*v_secondary: must be a finite number, got inf"),
+    (amplifier_power, (1e300, 1e30, 1e-320, 1.0), "i_b: must be a finite number, got inf"),
+    (modulation_voltages, (1.7976e308, 1.0), "v_ctl_high: must be a finite number, got inf"),
 ]
 
 # (CircuitSpec overrides, the whole text of validate's rejection)
@@ -657,6 +671,7 @@ SPEC_REJECTIONS = [
     ({"c6": -1.0, "vcc": -1.0}, "c6: must be > 0, got -1.0"),
     ({"v_led": -1.0, "ripple_factor": 2.0}, "v_led: must be >= 0, got -1.0"),
     ({"ripple_factor": 1.0}, "ripple_factor: must be in (0, 1), got 1.0"),
+    ({"ripple_factor": 0.0, "tr2_hfe": 0.5}, "ripple_factor: must be in (0, 1), got 0.0"),
     ({"tr2_hfe": 0.5}, "tr2_hfe: must be >= 1, got 0.5"),
     ({"tr1_saturation_factor": 0.5}, "tr1_saturation_factor: must be >= 1, got 0.5"),
     ({"vcc": 0.6}, "vcc: must exceed v_be"),
@@ -679,3 +694,29 @@ class TestRejectionText:
         with pytest.raises(DesignError) as info:
             CircuitSpec(**overrides).validate()
         assert str(info.value) == message
+
+
+# The ten public equations, and argument values at the edges of the float range
+# where their arithmetic overflows or underflows.
+EQUATIONS = (monostable_period, astable_times, astable_times_cv, modulation_voltages, led_resistor,
+             filter_capacitor, peak_inverse_voltage, base_resistor, amplifier_power, trigger_threshold)
+EDGES = (5e-324, 1e-320, 1e-300, 1e-30, 0.5, 1.0, 12.0, 1e30, 1e300, 1.7e308)
+ARGUMENT = st.one_of(st.sampled_from(EDGES), st.floats())
+
+
+class TestEquationsAreFinite:
+    @given(call=st.one_of(*(st.tuples(st.just(fn), st.tuples(*[ARGUMENT] * len(inspect.signature(fn).parameters)))
+                            for fn in EQUATIONS)))
+    @example(call=(monostable_period, (12.0, 1.7e308)))
+    @example(call=(led_resistor, (0.5, 5e-324, 1.7e308)))
+    @example(call=(peak_inverse_voltage, (1.7e308, 1.0)))
+    @example(call=(amplifier_power, (1e300, 1e30, 1e-320, 1.0)))
+    @example(call=(modulation_voltages, (1.7976e308, 1.0)))
+    @settings(max_examples=1000)
+    def test_finite_results_or_design_error(self, call):
+        equation, args = call
+        try:
+            result = equation(*args)
+        except DesignError:
+            return
+        assert all(math.isfinite(x) for x in (result if isinstance(result, tuple) else (result,))), result

@@ -401,6 +401,9 @@ class TestWav:
             with pytest.raises(ExportError) as refused:
                 refuse(10**400)
             assert str(refused.value) == f"sample_rate must be an integer in (8000, 192000), got {cut}"
+        # The largest int that converts to a float still prints as %g.
+        with pytest.raises(ExportError, match=r"got 1\.79769e\+308$"):
+            check_wav_rate(int(sys.float_info.max))
 
     def test_zero_crossing_count_of_steady_tone(self):
         # 1 s of a steady f Hz square has 2f ± 1 sign flips.

@@ -578,10 +578,12 @@ class TestRunValidation:
         with pytest.raises(DesignError, match="c2"):
             run(CircuitSpec(c2=0.0), Scenario((), 1.0), SimConfig())
 
-    @pytest.mark.parametrize("spec", [CircuitSpec(vcc=1e200), CircuitSpec(speaker_impedance=1e308)],
-                             ids=["power", "impedance"])
-    def test_overflowing_amplitude_is_a_design_error(self, spec):
-        with pytest.raises(DesignError, match=r"^siren amplitude sqrt\(.* is not finite$"):
+    @pytest.mark.parametrize("spec, message", [
+        (CircuitSpec(vcc=1e200), r"^amp_i_b: p_out: must be a finite number, got inf$"),  # the report's check
+        (CircuitSpec(speaker_impedance=1e308), r"^siren amplitude sqrt\(.* is not finite$"),
+    ], ids=["power", "impedance"])
+    def test_overflowing_amplitude_is_a_design_error(self, spec, message):
+        with pytest.raises(DesignError, match=message):
             simulator.timeline(spec, _scenario((1.0, "touch_start"), duration=2.0))
 
     def test_record_defaults(self):
