@@ -10,16 +10,16 @@ from importlib import import_module
 _LAZY = {
     name: module
     for module, names in {
-        "design": """CircuitFileError CircuitSpec DesignError DesignReport ErrataReport
-            ExportError ScenarioError SimulationError amplifier_power astable_times
+        "design": """CircuitSpec DesignReport ErrataReport amplifier_power astable_times
             astable_times_cv base_resistor compute_report filter_capacitor led_resistor
             modulation_voltages monostable_period parse_circuit peak_inverse_voltage
             trigger_threshold verify_reference_values write_report""",
         "export": "write_csv write_wav",
         "simulator": """Scenario ScenarioEvent SimConfig Timeline Trace monte_carlo_timeout
             parse_scenario run timeline timeout_samples""",
-        "units": """E6 E12 E24 E96 ESeries Quantity QuantityError format_quantity
-            parse_quantity snap_preferred""",
+        "units": """CircuitFileError DesignError E6 E12 E24 E96 ESeries ExportError Quantity
+            QuantityError ScenarioError SimulationError format_quantity parse_quantity
+            snap_preferred""",
     }.items()
     for name in names.split()
 }

@@ -7,10 +7,6 @@ the carrier oscillator into a two-tone siren.  ``verify_reference_values``
 audits the computed results against the worked figures quoted in the
 original design write-up and flags the arithmetic slips it contains, and
 ``write_report`` renders either report as text or ``name=value`` lines.
-
-The error classes of ``simulator`` and ``export`` live here too, beside the
-design's own, so the command line maps every error to an exit code without
-importing those numpy-backed modules.
 """
 
 from __future__ import annotations
@@ -18,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .units import (E6, E12, Quantity, QuantityError, format_quantity, lines, parse_quantity, quoted,
-                    snap_preferred)
+from .units import (E6, E12, CircuitFileError, DesignError, ExportError, Quantity, QuantityError,
+                    format_quantity, lines, parse_quantity, quoted, snap_preferred)
 
 LN2 = math.log(2.0)
 
@@ -30,26 +26,6 @@ CONTROL_PIN_THEVENIN_OHMS = 5e3 * 10e3 / 15e3
 # Ideal base resistances beyond this are reported as an error (the drive
 # current has effectively vanished).
 BASE_RESISTOR_CAP_OHMS = 10e6
-
-
-class DesignError(ValueError):
-    """An equation was fed values outside its physical domain."""
-
-
-class CircuitFileError(ValueError):
-    """A circuit description file could not be parsed or validated."""
-
-
-class ScenarioError(ValueError):
-    """Scenario text or event sequence violates the format invariants."""
-
-
-class SimulationError(ValueError):
-    """Simulation configuration is unusable (e.g. sample rate too low)."""
-
-
-class ExportError(ValueError):
-    """Export parameters do not fit the data being written."""
 
 
 class CircuitSpec(NamedTuple):

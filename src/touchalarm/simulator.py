@@ -35,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import design
-from .design import ScenarioError, SimulationError
-from .units import QUOTE_LIMIT, lines, quoted
+from .units import QUOTE_LIMIT, DesignError, ScenarioError, SimulationError, lines, quoted
 
 EVENT_KINDS = ("touch_start", "touch_end", "mains_fail", "mains_restore")
 
@@ -394,7 +393,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     p_out = report.value("amp_p_out")
     amplitude = math.sqrt(p_out * spec.speaker_impedance)
     if not math.isfinite(amplitude):
-        raise design.DesignError(
+        raise DesignError(
             f"siren amplitude sqrt({p_out:g} W * {spec.speaker_impedance:g} Ω) is not finite")
 
     notes: list[TraceEvent] = [
@@ -636,7 +635,7 @@ def monte_carlo_timeout(
         squares = _pairwise(lambda i0, i1: np.add.reduce(np.square(leaf(i0, i1) - mean)), 0, runs)
         stats = [float(np.min(extremes)), float(np.max(extremes)), float(mean), math.sqrt(squares / runs)]
     if not all(math.isfinite(x) for x in stats):
-        raise design.DesignError(
+        raise DesignError(
             "trigger timeout samples overflow: min={:g} max={:g} mean={:g} stddev={:g}".format(*stats)
         )
     return ToleranceResult(runs, *stats)

@@ -1,5 +1,10 @@
 """Unit-tagged scalar quantities with SI-prefix text parsing/formatting,
-plus the IEC 60063 preferred-value (E-series) tables and snapping."""
+plus the IEC 60063 preferred-value (E-series) tables and snapping.
+
+The error classes of ``design``, ``simulator`` and ``export`` live here too,
+beside ``QuantityError``, so the command line maps every error to an exit
+code without importing those modules.
+"""
 
 from __future__ import annotations
 
@@ -62,6 +67,26 @@ def lines(text: str, piece: int = 2**16) -> Iterator[str]:
 
 class QuantityError(ValueError):
     """Malformed quantity text, or a magnitude outside the unit's domain."""
+
+
+class DesignError(ValueError):
+    """An equation was fed values outside its physical domain."""
+
+
+class CircuitFileError(ValueError):
+    """A circuit description file could not be parsed or validated."""
+
+
+class ScenarioError(ValueError):
+    """Scenario text or event sequence violates the format invariants."""
+
+
+class SimulationError(ValueError):
+    """Simulation configuration is unusable (e.g. sample rate too low)."""
+
+
+class ExportError(ValueError):
+    """Export parameters do not fit the data being written."""
 
 
 class _Quantity(NamedTuple):

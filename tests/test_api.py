@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import touchalarm
-from touchalarm import design, export, simulator
+from touchalarm import design, export, simulator, units
 
 
 def test_star_import_resolves_every_exported_name():
@@ -33,9 +33,11 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_moved_exceptions_are_one_class_each():
-    assert touchalarm.SimulationError is simulator.SimulationError is design.SimulationError
-    assert touchalarm.ScenarioError is simulator.ScenarioError is design.ScenarioError
-    assert touchalarm.ExportError is export.ExportError is design.ExportError
+    assert touchalarm.SimulationError is simulator.SimulationError is units.SimulationError
+    assert touchalarm.ScenarioError is simulator.ScenarioError is units.ScenarioError
+    assert touchalarm.ExportError is export.ExportError is design.ExportError is units.ExportError
+    assert touchalarm.DesignError is simulator.DesignError is design.DesignError is units.DesignError
+    assert touchalarm.CircuitFileError is design.CircuitFileError is units.CircuitFileError
     assert touchalarm.write_report is export.write_report is design.write_report
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism, atomic writes."""
 
 import errno
+import gc
 import os
 import resource
 import subprocess
@@ -715,6 +716,17 @@ class TestNumpyFree:
         assert "touchalarm" in names
         assert "numpy" not in names
 
+    @pytest.mark.parametrize("args, code", [
+        (["-m", "touchalarm", "snap", "4.7k"], 0),
+        (["-m", "touchalarm", "snap", "wide"], 2),
+        (["-c", "import touchalarm.cli"], 0),
+    ], ids=["snap", "snap-malformed", "import-cli"])
+    def test_snap_never_loads_design(self, args, code):
+        exit_code, modules = _imported_modules(args)
+        assert exit_code == code
+        assert "touchalarm.cli" in modules
+        assert "touchalarm.design" not in modules
+
     def test_simulate_and_tolerance_load_it_when_they_run(self, touch_scenario, tmp_path):
         wav = str(tmp_path / "x.wav")
         for args in (["simulate", "--scenario", touch_scenario, "--wav", wav],
@@ -779,11 +791,56 @@ class TestConsoleEntry:
                              ids=["design", "simulate-wav"])
     def test_heap_is_frozen_at_exit(self, args, touch_scenario, tmp_path):
         probe = ("import atexit, gc, sys\n"
-                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
+                 "                              'enabled', gc.isenabled(), file=sys.stderr))\n"
                  "from touchalarm.cli import run\n"
                  "run()\n")
         files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
         proc = subprocess.run([sys.executable, "-c", probe, *(files.get(a, a) for a in args)],
                               env=cli_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
-        assert proc.stderr == "frozen True\n"
+        assert proc.stderr == "frozen True enabled False\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc and two usable CPUs, where numpy's BLAS would start a worker")
+    @pytest.mark.parametrize("blas_threads, tasks", [(None, 1), ("2", 2)], ids=["default", "user-set"])
+    def test_no_idle_blas_worker(self, blas_threads, tasks):
+        probe = ("import atexit, os, sys\n"
+                 "atexit.register(lambda: print('tasks', len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+                 "from touchalarm.cli import run\n"
+                 "run()\n")
+        env = cli_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:  # the user's value wins
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run([sys.executable, "-c", probe, "tolerance", "--runs", "100"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == f"tasks {tasks}\n"
+
+
+class TestCollector:
+    """``run`` turns the collector off: the cycles a job leaves must not grow with its size."""
+
+    def test_each_job_leaves_the_same_garbage(self, tmp_path, capsys):
+        for seconds in (5, 60):
+            (tmp_path / f"{seconds}.scn").write_text(f"1.0 touch_start\n1.2 touch_end\nduration {seconds}\n")
+        jobs = [["simulate", "--scenario", str(tmp_path / f"{seconds}.scn"),
+                 "--csv", str(tmp_path / "x.csv"), "--wav", str(tmp_path / "x.wav")] for seconds in (5, 60)]
+        jobs += [["tolerance", "--runs", str(runs)] for runs in (15000, 2**20)]
+        assert gc.isenabled()
+        for argv in jobs:  # first calls: the imports and one-time caches, with the collector on
+            assert main(argv) == 0
+            assert gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            counts = []
+            for argv in jobs:
+                for _ in range(2):
+                    assert main(argv) == 0
+                    assert not gc.isenabled()
+                    counts.append(gc.collect())
+        finally:
+            gc.enable()
+        assert len(set(counts)) == 1, counts
