@@ -197,7 +197,7 @@ def cmd_simulate(args) -> int:
         except QuantityError as exc:
             raise UsageError(str(exc)) from exc
     spec = _load_spec(args.circuit)
-    from . import export, simulator  # after the spec, so design compiles before numpy: 0.8 MB less peak RSS
+    from . import export, simulator  # after the spec: a circuit that cannot load exits before numpy is imported
     scenario = simulator.parse_scenario(_read_input(args.scenario, ScenarioError))
     config = simulator.SimConfig(
         sample_rate=args.sample_rate,
@@ -254,7 +254,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tolerance(args) -> int:
     spec = _load_spec(args.circuit)
-    from . import simulator  # after the spec, so design compiles before numpy: 0.8 MB less peak RSS
+    from . import simulator  # after the spec: a circuit that cannot load exits before numpy is imported
     result = simulator.monte_carlo_timeout(spec, args.tol, args.runs, args.seed)
     contains = "true" if result.contains(simulator.MEASURED_TIMEOUT_SECONDS) else "false"
 

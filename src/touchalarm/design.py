@@ -12,6 +12,7 @@ original design write-up and flags the arithmetic slips it contains, and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import NamedTuple
 
 from .units import (E6, E12, CircuitFileError, DesignError, ExportError, Quantity, QuantityError,
@@ -28,50 +29,54 @@ CONTROL_PIN_THEVENIN_OHMS = 5e3 * 10e3 / 15e3
 BASE_RESISTOR_CAP_OHMS = 10e6
 
 
-class CircuitSpec(NamedTuple):
-    """Component roster and electrical assumptions of the alarm circuit.
+# circuit-file key -> (unit tag, the reference design's stock value), in field order
+FIELDS = {
+    "mains_voltage": ("volt", 240.0),
+    "transformer_secondary": ("volt", 18.0),
+    "fuse_rating": ("ampere", 1.0),
+    "regulator_voltage": ("volt", 12.0),
+    "regulator_current": ("ampere", 0.5),
+    "ripple_frequency": ("hertz", 50.0),
+    "ripple_factor": ("dimensionless", 0.05),
+    "diode_piv_rating": ("volt", 50.0),
+    "r1": ("ohm", 470.0),
+    "r2": ("ohm", 980.0),
+    "r3": ("ohm", 220e3),
+    "r4": ("ohm", 10.8e6),  # sensor sensitivity; carried but drives no equation
+    "r5": ("ohm", 4.7e3),
+    "r6": ("ohm", 1e3),
+    "r7": ("ohm", 100e3),
+    "r8": ("ohm", 100e3),
+    "r9": ("ohm", 300e3),
+    "r10": ("ohm", 2.2e3),
+    "r11": ("ohm", 1e3),
+    "r12": ("ohm", 22e3),
+    "c1": ("farad", 2200e-6),
+    "c2": ("farad", 47e-6),
+    "c3": ("farad", 0.01e-6),  # decoupling; no governing equation
+    "c4": ("farad", 0.01e-6),
+    "c5": ("farad", 47e-6),  # control-pin bypass; no governing equation
+    "c6": ("farad", 47e-6),
+    "vcc": ("volt", 12.0),
+    "v_led": ("volt", 2.2),
+    "i_led_max": ("ampere", 0.035),
+    "i_led_run": ("ampere", 0.01),
+    "v_be": ("volt", 0.6),
+    "tr1_hfe": ("dimensionless", 25.0),
+    "tr1_saturation_factor": ("dimensionless", 2.0),
+    "tr2_hfe": ("dimensionless", 10.0),  # audited value; the write-up's "gain = 100" contradicts its own power figure
+    "amp_base_resistance": ("ohm", 300.0),
+    "relay_coil_resistance": ("ohm", 400.0),
+    "speaker_impedance": ("ohm", 8.0),
+    "speaker_power_rating": ("watt", 5.0),
+}
+FIELD_UNITS = {key: unit for key, (unit, _) in FIELDS.items()}
 
-    Defaults reproduce the reference design's stock values.
-    """
 
-    mains_voltage: float = 240.0
-    transformer_secondary: float = 18.0
-    fuse_rating: float = 1.0
-    regulator_voltage: float = 12.0
-    regulator_current: float = 0.5
-    ripple_frequency: float = 50.0
-    ripple_factor: float = 0.05
-    diode_piv_rating: float = 50.0
-    r1: float = 470.0
-    r2: float = 980.0
-    r3: float = 220e3
-    r4: float = 10.8e6  # sensor sensitivity; carried but drives no equation
-    r5: float = 4.7e3
-    r6: float = 1e3
-    r7: float = 100e3
-    r8: float = 100e3
-    r9: float = 300e3
-    r10: float = 2.2e3
-    r11: float = 1e3
-    r12: float = 22e3
-    c1: float = 2200e-6
-    c2: float = 47e-6
-    c3: float = 0.01e-6  # decoupling; no governing equation
-    c4: float = 0.01e-6
-    c5: float = 47e-6  # control-pin bypass; no governing equation
-    c6: float = 47e-6
-    vcc: float = 12.0
-    v_led: float = 2.2
-    i_led_max: float = 0.035
-    i_led_run: float = 0.01
-    v_be: float = 0.6
-    tr1_hfe: float = 25.0
-    tr1_saturation_factor: float = 2.0
-    tr2_hfe: float = 10.0  # audited value; the write-up's "gain = 100" contradicts its own power figure
-    amp_base_resistance: float = 300.0
-    relay_coil_resistance: float = 400.0
-    speaker_impedance: float = 8.0
-    speaker_power_rating: float = 5.0
+class CircuitSpec(namedtuple("CircuitSpec", FIELDS, defaults=[stock for _, stock in FIELDS.values()])):
+    """Component roster and electrical assumptions of the alarm circuit; defaults are stock."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         """Raise DesignError naming the first field that violates an invariant."""
@@ -87,22 +92,6 @@ class CircuitSpec(NamedTuple):
             raise DesignError("vcc: must exceed v_be")
         if self.transformer_secondary < self.regulator_voltage:
             raise DesignError("transformer_secondary: must be >= regulator_voltage")
-
-
-# key -> unit tag, for the circuit file format
-FIELD_UNITS = {
-    "mains_voltage": "volt", "transformer_secondary": "volt", "fuse_rating": "ampere",
-    "regulator_voltage": "volt", "regulator_current": "ampere",
-    "ripple_frequency": "hertz", "ripple_factor": "dimensionless",
-    "diode_piv_rating": "volt",
-    **{f"r{i}": "ohm" for i in range(1, 13)},
-    **{f"c{i}": "farad" for i in range(1, 7)},
-    "vcc": "volt", "v_led": "volt", "i_led_max": "ampere", "i_led_run": "ampere",
-    "v_be": "volt", "tr1_hfe": "dimensionless", "tr1_saturation_factor": "dimensionless",
-    "tr2_hfe": "dimensionless", "amp_base_resistance": "ohm",
-    "relay_coil_resistance": "ohm", "speaker_impedance": "ohm",
-    "speaker_power_rating": "watt",
-}
 
 
 def parse_circuit(text: str) -> CircuitSpec:

@@ -13,11 +13,11 @@ import struct
 import sys
 from collections.abc import Iterator
 
-import numpy as np
-
 from .design import write_report  # only so that bench/run.py --trace 1 can wrap export.write_report
 from .simulator import Trace, _rate_text
 from .units import ExportError
+
+import numpy as np  # last, as in simulator
 
 CSV_HEADER = "t,supply_on,trigger_out,modulator_high,carrier_freq,speaker"
 

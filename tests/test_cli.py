@@ -736,6 +736,20 @@ class TestNumpyFree:
             assert "numpy" in names
 
 
+@pytest.mark.parametrize("module", ["touchalarm.simulator", "touchalarm.export"])
+def test_package_compiles_before_numpy(module):
+    # A module's "import" audit event comes before it is compiled, so this order is the compile order.
+    # (sys.modules is not: a module moves to its end once it has run.)
+    probe = ("import sys\n"
+             "sys.addaudithook(lambda event, args: event == 'import' and print(args[0]))\n"
+             f"import {module}\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    order = proc.stdout.split()
+    assert max(order.index("touchalarm.design"), order.index("touchalarm.simulator")) < order.index("numpy")
+
+
 class TestNoMaskedArrays:
     """Writing CSV or WAV and running a study never import ``numpy.ma`` (about 15 ms)."""
 
