@@ -12,14 +12,16 @@ of a command's files are complete; ``simulate`` streams its samples into
 them chunk by chunk.  ``snap`` loads neither ``design`` nor numpy; only
 ``simulate`` and ``tolerance`` load the numpy-backed ``simulator`` and
 ``export``.  ``run`` (``python -m touchalarm``, the ``touchalarm`` script)
-turns the collector off, freezes the heap once ``main`` returns (the exit
-collection runs regardless) and sets ``OPENBLAS_NUM_THREADS=1`` unless set,
-so numpy starts no idle BLAS worker; ``main`` leaves the collector alone.
+turns the collector off, sets ``OPENBLAS_NUM_THREADS=1`` unless set (no idle
+BLAS worker), runs the ``atexit`` handlers once ``main`` returns and leaves
+through ``os._exit``, skipping teardown (``SystemExit`` under a profiler, a
+tracer or ``-i``); ``main`` leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import errno
 import gc
@@ -280,7 +282,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a report that cannot be written is an output error however stdout is buffered
+        return code
     except (UsageError, ExportError, SimulationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -302,5 +306,10 @@ def run() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no linear algebra here: start no idle BLAS worker
     gc.disable()  # a job leaves a bounded set of cycles (the parser's): skip the collector's passes
     code = main()
-    gc.freeze()  # the shutdown collection runs even when disabled: spare it a walk over the whole heap
-    raise SystemExit(code)
+    if sys.flags.inspect or sys.getprofile() or sys.gettrace():  # -i, a profiler or a tracer has work after it
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    for stream in sys.stdout, sys.stderr:  # main has reported its own write failures
+        with contextlib.suppress(OSError):
+            stream.flush()
+    os._exit(code)  # every output file is closed and renamed: skip tearing down numpy and every module

@@ -8,10 +8,11 @@ import touchalarm
 
 def cli_env(**extra: str) -> dict[str, str]:
     """``os.environ`` with this package's sources first on PYTHONPATH, every warning an error,
-    and ``extra`` on top.
+    stdout buffered as in a user's run (no PYTHONUNBUFFERED), and ``extra`` on top.
 
     Not PYTHONDEVMODE: its debug allocator would move the memory bounds that the tests check.
     """
     src = str(Path(touchalarm.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
             "PYTHONWARNINGS": "error", **extra}

@@ -778,7 +778,7 @@ class TestNoGeneratedCode:
 
 
 class TestConsoleEntry:
-    """``python -m touchalarm``: the exit path that freezes the heap before the interpreter exits."""
+    """``python -m touchalarm``: the exit path that runs the ``atexit`` handlers and skips the teardown."""
 
     @pytest.mark.parametrize("args, code", [
         (["design"], 0),
@@ -801,19 +801,59 @@ class TestConsoleEntry:
         golden = Path(__file__).parent / "golden" / "verify_default.txt"
         assert proc.stdout == golden.read_bytes()
 
-    @pytest.mark.parametrize("args", [["design"], ["simulate", "--scenario", "SCN", "--wav", "WAV"]],
-                             ids=["design", "simulate-wav"])
-    def test_heap_is_frozen_at_exit(self, args, touch_scenario, tmp_path):
-        probe = ("import atexit, gc, sys\n"
-                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
-                 "                              'enabled', gc.isenabled(), file=sys.stderr))\n"
+    @pytest.mark.parametrize("args, code", [
+        (["design"], 0),
+        (["simulate", "--scenario", "SCN", "--wav", "WAV"], 0),
+        (["verify"], 1),
+        (["snap", "wide"], 2),
+    ], ids=["design", "simulate-wav", "verify", "snap-wide"])
+    def test_exits_without_interpreter_teardown(self, args, code, touch_scenario, tmp_path):
+        probe = ("import atexit, gc, os, sys\n"
+                 "sys.addaudithook(lambda event, _, write=os.write:\n"
+                 "                 event == 'cpython.PyInterpreterState_Clear' and write(2, b'teardown\\n'))\n"
+                 "atexit.register(lambda: print('enabled', gc.isenabled(), file=sys.stderr))\n"
                  "from touchalarm.cli import run\n"
                  "run()\n")
         files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
         proc = subprocess.run([sys.executable, "-c", probe, *(files.get(a, a) for a in args)],
                               env=cli_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr.endswith("enabled False\n")  # after snap's usage error line
+        assert "teardown" not in proc.stderr
+
+    @pytest.mark.parametrize("sink, reason", [("full", "[Errno 28] No space left on device"),
+                                              ("pipe", "[Errno 32] Broken pipe")])
+    @pytest.mark.parametrize("args", [
+        ["snap", "4.7k"],
+        ["design"],
+        ["verify"],
+        ["tolerance", "--runs", "100"],
+        ["simulate", "--scenario", "SCN", "--wav", "WAV"],
+    ], ids=["snap", "design", "verify", "tolerance", "simulate-wav"])
+    def test_unwritable_stdout_is_an_output_error(self, sink, reason, args, touch_scenario, tmp_path):
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, stdout = os.pipe()
+            os.close(read)  # the reader is gone before the job starts
+        files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
+                                  env=cli_env(), stdout=stdout, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 3
+        assert proc.stderr == f"output error: {reason}\n"
+
+    def test_profiler_still_prints_its_stats(self):
+        proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "touchalarm", "snap", "4.7k"],
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
-        assert proc.stderr == "frozen True enabled False\n"
+        assert proc.stdout.startswith("4700 -> 4700\n")
+        assert " function calls " in proc.stdout
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs /proc and two usable CPUs, where numpy's BLAS would start a worker")
