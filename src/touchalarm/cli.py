@@ -168,9 +168,16 @@ def _write_files(paths, pieces) -> None:
         raise OSError(exc.errno, exc.strerror, str(targets[i])) from None
 
 
+def _write(text: str) -> None:
+    """Write to stdout; one closed at start-up (``>&-``, so ``None``) is an output that cannot be written."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    sys.stdout.write(text)
+
+
 def _emit(blob: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(blob.decode("utf-8"))
+        _write(blob.decode("utf-8"))
     else:
         _write_files([out], [(0, [blob])])
 
@@ -217,7 +224,7 @@ def cmd_simulate(args) -> int:
         outputs.append((args.csv, export.csv_header(), export.csv_rows))
     if args.wav is not None:
         outputs.append((args.wav, export.wav_header(timeline.sample_rate, timeline.n_samples),
-                        lambda chunk: (export.wav_pcm(chunk.speaker, chunk.amplitude),)))
+                        lambda chunk: (export.wav_pcm(chunk.sign, chunk.amplitude),)))
     paths, headers, encoders = zip(*outputs)
 
     def pieces():  # (output, blocks): each header, then each chunk as every output encodes it
@@ -228,7 +235,7 @@ def cmd_simulate(args) -> int:
     _write_files(paths, pieces())
 
     sounding = format_quantity(Quantity(timeline.sounding_seconds, "second"))
-    sys.stdout.write(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n")
+    _write(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n")
     return EXIT_OK
 
 
@@ -238,7 +245,7 @@ def cmd_snap(args) -> int:
         snapped = snap_preferred(value, args.series, args.mode)
     except QuantityError as exc:
         raise UsageError(str(exc)) from exc
-    sys.stdout.write(f"{format_number(value)} -> {format_number(snapped)}\n")
+    _write(f"{format_number(value)} -> {format_number(snapped)}\n")
     return EXIT_OK
 
 
@@ -250,7 +257,7 @@ def cmd_verify(args) -> int:
         errata = design.verify_reference_values(report, args.tolerance)
     except DesignError as exc:  # its one check is of the tolerance
         raise UsageError(f"--{exc}") from exc
-    sys.stdout.write(design.write_report(errata, "text").decode("utf-8"))
+    _write(design.write_report(errata, "text").decode("utf-8"))
     return EXIT_ERRATA if errata.has_errata else EXIT_OK
 
 
@@ -263,7 +270,7 @@ def cmd_tolerance(args) -> int:
     def fmt(x: float) -> str:
         return format_quantity(Quantity(x, "second"), digits=6)
 
-    sys.stdout.write(
+    _write(
         f"runs={result.runs} min={fmt(result.min)} mean={fmt(result.mean)} "
         f"max={fmt(result.max)} stddev={fmt(result.stddev)} contains_measured={contains}\n"
     )
@@ -279,27 +286,36 @@ _COMMANDS = {
 }
 
 
+def _diagnose(code: int, line: str) -> int:
+    """Write ``line`` to stderr and return ``code``, which a closed or unwritable stderr keeps."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+    return code
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a report that cannot be written is an output error however stdout is buffered
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as done:  # argparse has printed --help: flushed and checked below as any report
+            code = done.code
+        else:
+            code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a report that cannot be written is an output error however stdout is buffered
         return code
     except (UsageError, ExportError, SimulationError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _diagnose(EXIT_USAGE, f"usage error: {exc}")
     except (CircuitFileError, ScenarioError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _diagnose(EXIT_INPUT, f"input error: {exc}")
     except OSError as exc:  # inputs are read through _read_input, so this is an output
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _diagnose(EXIT_INPUT, f"output error: {exc}")
     except (DesignError, QuantityError) as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return _diagnose(EXIT_COMPUTE, f"computation error: {exc}")
     except Exception as exc:  # last resort: exit 1 is reserved for errata found
-        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return _diagnose(EXIT_COMPUTE, f"computation error: {type(exc).__name__}: {exc}")
 
 
 def run() -> None:
@@ -310,6 +326,7 @@ def run() -> None:
         raise SystemExit(code)
     atexit._run_exitfuncs()
     for stream in sys.stdout, sys.stderr:  # main has reported its own write failures
-        with contextlib.suppress(OSError):
-            stream.flush()
+        if stream is not None:  # closed at start-up
+            with contextlib.suppress(OSError):
+                stream.flush()
     os._exit(code)  # every output file is closed and renamed: skip tearing down numpy and every module

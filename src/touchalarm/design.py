@@ -141,12 +141,13 @@ def _require(rule: str, **values: float) -> None:
             raise DesignError(f"{name}: must be {rule}, got {value!r}")
 
 
-def stage(quantity: str, fn, *args):
-    """``fn(*args)``, with any domain error prefixed by the quantity it computes."""
+def stage(quantity: str, fn, *args, **figures: str):
+    """``fn(*args)``, with any domain error prefixed by the figure that failed: ``figures[name]``
+    when the error names ``fn``'s result field ``name``, else ``quantity``."""
     try:
         return fn(*args)
     except (DesignError, QuantityError) as exc:
-        raise DesignError(f"{quantity}: {exc}") from exc
+        raise DesignError(f"{figures.get(str(exc).partition(':')[0], quantity)}: {exc}") from exc
 
 
 def monostable_period(r: float, c: float) -> float:
@@ -371,13 +372,14 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
     spec.validate()
     records: list[DesignRecord] = []
 
-    led1 = stage("r1_ideal", led_resistor, spec.transformer_secondary, spec.v_led, spec.i_led_max)
+    led1 = stage("r1_ideal", led_resistor, spec.transformer_secondary, spec.v_led, spec.i_led_max,
+                 i_actual="led1_current")
     records.append(DesignRecord("r1_ideal", led1.r_ideal, "ohm",
                                 "(v_secondary-v_led)/i_led_max", led1.r_snapped))
     records.append(DesignRecord("led1_current", led1.i_actual, "ampere",
                                 "(v_secondary-v_led)/r1_snapped"))
 
-    led2 = stage("r2_ideal", led_resistor, spec.vcc, spec.v_led, spec.i_led_run)
+    led2 = stage("r2_ideal", led_resistor, spec.vcc, spec.v_led, spec.i_led_run, i_actual="led2_current")
     records.append(DesignRecord("r2_ideal", led2.r_ideal, "ohm",
                                 "(vcc-v_led)/i_led_run", led2.r_snapped))
     records.append(DesignRecord("led2_current", led2.i_actual, "ampere",
@@ -400,8 +402,8 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
                                 stage("trigger_threshold", trigger_threshold, spec.vcc),
                                 "volt", "vcc/3"))
 
-    base = stage("r5_ideal", base_resistor, spec.vcc, spec.v_be,
-                 spec.relay_coil_resistance, spec.tr1_hfe, spec.tr1_saturation_factor)
+    base = stage("r5_ideal", base_resistor, spec.vcc, spec.v_be, spec.relay_coil_resistance,
+                 spec.tr1_hfe, spec.tr1_saturation_factor, i_b="trigger_i_b")
     records.append(DesignRecord("r5_ideal", base.r_ideal, "ohm",
                                 "(vcc-v_be)/i_b", base.r_snapped))
     records.append(DesignRecord("trigger_i_c", base.i_c, "ampere", "vcc/relay_coil"))
@@ -418,7 +420,7 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
         ]
 
     amp = stage("amp_i_b", amplifier_power, spec.vcc, spec.v_be,
-                spec.amp_base_resistance, spec.tr2_hfe)
+                spec.amp_base_resistance, spec.tr2_hfe, i_e="amp_i_e", p_out="amp_p_out")
     records.append(DesignRecord("amp_i_b", amp.i_b, "ampere", "(vcc-v_be)/amp_base_r"))
     records.append(DesignRecord("amp_i_e", amp.i_e, "ampere", "(1+hfe)*i_b"))
     records.append(DesignRecord("amp_p_out", amp.p_out, "watt", "i_e*vcc"))

@@ -61,44 +61,37 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
     digits of ``rint(t * 1e9)``.  Rows near a half-nanosecond tie, where that
     could round differently from ``.9f``, and negative or non-finite times are
     formatted with ``.9f``.  The rest of a row, its form, depends only on the
-    booleans and the bits of carrier and speaker; each distinct form in the
-    chunk is formatted once.  Each row gets two record writes: its form, padded
-    on the left to the longest form of its band of lengths and right-aligned at
-    the row's end, then its time cell.  Bands are narrow enough that the padding
-    falls inside the row's own time cell, so no write reaches another row and
-    the order in which numpy scatters does not matter.  Each row depends on its
-    own sample alone, so the blocks, and the rows of consecutive chunks,
-    concatenate to the rows of the whole trace.  A ``sample_rate`` that is not a
-    positive integer that converts to a float raises ExportError.
+    booleans and the sign (carrier and speaker derive from them, as in
+    ``Trace``), so each of the 24 forms is formatted once per chunk.  Each row
+    gets two record writes: its form, padded on the left to the longest form of
+    its band of lengths and right-aligned at the row's end, then its time cell.
+    Bands are narrow enough that the padding falls inside the row's own time
+    cell, so no write reaches another row and the order in which numpy scatters
+    does not matter.  Each row depends on its own sample alone, so the blocks,
+    and the rows of consecutive chunks, concatenate to the rows of the whole
+    trace.  A ``sample_rate`` that is not a positive integer that converts to a
+    float raises ExportError.
     """
     if not isinstance(chunk.sample_rate, int) or not 0 < chunk.sample_rate <= sys.float_info.max:
         raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(chunk.sample_rate)}")
     n = chunk.n_samples
 
-    # --- forms: the distinct rests of a row, found among run starts ---------
-    carrier = np.ascontiguousarray(chunk.carrier_freq, np.float64).view(np.uint64)
-    speaker = np.ascontiguousarray(chunk.speaker, np.float64).view(np.uint64)
+    # --- forms: a row's rest is one of 24, keyed by flags·3 + sign + 1 -------
     flags = (np.asarray(chunk.supply_on, bool).view(np.uint8) << 2) \
         | (np.asarray(chunk.trigger_out, bool).view(np.uint8) << 1) \
         | np.asarray(chunk.modulator_high, bool).view(np.uint8)
-    run_start = np.ones(n, bool)
-    run_start[1:] = (carrier[1:] != carrier[:-1]) | (speaker[1:] != speaker[:-1]) \
-        | (flags[1:] != flags[:-1])
-    run_start = np.flatnonzero(run_start)
-    carrier_bits, carrier_id = np.unique(carrier[run_start], return_inverse=True)
-    speaker_bits, speaker_id = np.unique(speaker[run_start], return_inverse=True)
-    keys, run_form = np.unique(
-        (carrier_id * len(speaker_bits) + speaker_id) * 8 + flags[run_start],
-        return_inverse=True)
-    row_form = np.repeat(run_form.astype(np.min_scalar_type(len(keys))), np.diff(run_start, append=n))
-    del carrier, speaker, flags, run_start, carrier_id, speaker_id, run_form
-    pair, flag = np.divmod(keys, 8)
-    forms = [f",{g >> 2},{g >> 1 & 1},{g & 1},{c!r},{v!r}\n".encode() for g, c, v in zip(
-        flag.tolist(), carrier_bits.view(np.float64)[pair // len(speaker_bits)].tolist(),
-        speaker_bits.view(np.float64)[pair % len(speaker_bits)].tolist())]
+    # the sign read as uint8: -1 is 255, which + 1 wraps to 0
+    row_form = flags * np.uint8(3) + np.asarray(chunk.sign, np.int8).view(np.uint8) + np.uint8(1)
+    present = np.bincount(row_form, minlength=24) > 0
+    # form k is the row of flags k // 3 and sign k % 3 - 1, whose carrier and speaker Trace derives
+    flag, sign = np.divmod(np.arange(24), 3)
+    every = chunk._replace(supply_on=flag >> 2 == 1, trigger_out=flag >> 1 & 1 == 1,
+                           modulator_high=flag & 1 == 1, sign=(sign - 1).astype(np.int8))
+    forms = [f",{g >> 2},{g >> 1 & 1},{g & 1},{c!r},{v!r}\n".encode()
+             for g, c, v in zip(flag.tolist(), every.carrier_freq.tolist(), every.speaker.tolist())]
     form_len = np.array([len(form) for form in forms])
     spill, tops = 3, []  # the narrowest time cell ("nan"); the longest form of each band
-    for length in sorted(set(form_len.tolist())):
+    for length in sorted(set(form_len[present].tolist())):
         if not tops or length > low + spill:
             low = length
             tops.append(length)
@@ -162,9 +155,9 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
 
 
 def write_wav(trace: Trace) -> bytes:
-    """The whole WAV file: ``wav_header`` followed by ``wav_pcm`` of the speaker."""
+    """The whole WAV file: ``wav_header`` followed by ``wav_pcm`` of the siren's sign."""
     header = wav_header(trace.sample_rate, trace.n_samples)
-    return b"".join((header, wav_pcm(trace.speaker, trace.amplitude)))
+    return b"".join((header, wav_pcm(trace.sign, trace.amplitude)))
 
 
 def wav_header(sample_rate: int, n_samples: int) -> bytes:
@@ -189,10 +182,9 @@ def wav_header(sample_rate: int, n_samples: int) -> bytes:
     )
 
 
-def wav_pcm(speaker: np.ndarray, amplitude: float) -> np.ndarray:
-    """Little-endian 16-bit samples: ``amplitude`` maps to ±WAV_FULL_SCALE, silence to 0."""
+def wav_pcm(sign: np.ndarray, amplitude: float) -> np.ndarray:
+    """Little-endian 16-bit samples of a ``Trace.sign`` channel: ±1 maps to ±WAV_FULL_SCALE, 0 to
+    silence, and all of it to silence unless ``amplitude > 0``."""
     if not amplitude > 0:
-        return np.zeros(len(speaker), "<i2")
-    scaled = np.multiply(WAV_FULL_SCALE, speaker, dtype=np.float64)  # never into the caller's array
-    np.rint(np.divide(scaled, amplitude, out=scaled), out=scaled)
-    return np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
+        return np.zeros(len(sign), "<i2")
+    return np.multiply(sign, WAV_FULL_SCALE, dtype="<i2")

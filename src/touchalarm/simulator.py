@@ -29,7 +29,7 @@ import heapq
 import math
 import sys
 from collections.abc import Iterator
-from operator import itemgetter
+from operator import ge, gt, itemgetter
 from typing import NamedTuple
 
 from . import design
@@ -178,6 +178,8 @@ class TraceEvent(NamedTuple):
 class Trace(NamedTuple):
     """Samples ``start..start + n_samples`` of the node waveforms, on the grid ``k / sample_rate``.
 
+    The siren is stored as ``sign`` (int8: ±1 sounding, 0 silent) with the scalars ``amplitude``
+    and ``carrier_pair``; ``speaker`` and ``carrier_freq`` derive the float channels from them.
     The run's facts (windows, sounding time, event log) live on its ``Timeline``.
     """
 
@@ -185,9 +187,9 @@ class Trace(NamedTuple):
     supply_on: np.ndarray
     trigger_out: np.ndarray
     modulator_high: np.ndarray
-    carrier_freq: np.ndarray
-    speaker: np.ndarray
+    sign: np.ndarray
     amplitude: float
+    carrier_pair: tuple[float, float]  # (modulator high, modulator low)
     start: int = 0
 
     @property
@@ -199,6 +201,16 @@ class Trace(NamedTuple):
     @property
     def n_samples(self) -> int:
         return len(self.supply_on)
+
+    @property
+    def speaker(self) -> np.ndarray:
+        """The speaker drive: ``amplitude`` times ``sign``, 0.0 when silent."""
+        return np.take((0.0, self.amplitude, -self.amplitude), self.sign, mode="wrap")
+
+    @property
+    def carrier_freq(self) -> np.ndarray:
+        """The tone that ``modulator_high`` picks from ``carrier_pair`` while sounding, else 0.0."""
+        return np.where(self.sign != 0, np.where(self.modulator_high, *self.carrier_pair), 0.0)
 
 
 def _pairs(events, opening: str, closing: str) -> list[tuple[float, float | None]]:
@@ -231,6 +243,18 @@ def _overlapping(intervals: tuple, first: float, last: float) -> tuple:
     """
     lo = bisect.bisect_left(intervals, first, key=itemgetter(1))
     return intervals[lo:bisect.bisect_right(intervals, last, key=itemgetter(0))]
+
+
+def _sample_index(t: float, rate: float, i0: int, i1: int, after: bool = False) -> int:
+    """The smallest k in [i0, i1] with ``k / rate >= t`` (``> t`` if ``after``), else i1: searchsorted
+    on ``Trace.times``, whose divisor is ``rate``, without the grid.  ceil(t·rate) is a step off at most."""
+    passes = gt if after else ge
+    k = math.ceil(min(max(t * rate, i0), i1))
+    while k > i0 and passes((k - 1) / rate, t):
+        k -= 1
+    while k < i1 and not passes(k / rate, t):
+        k += 1
+    return k
 
 
 class Timeline(NamedTuple):
@@ -286,54 +310,47 @@ class Timeline(NamedTuple):
         supply = np.ones(n, dtype=bool)
         trigger = np.zeros(n, dtype=bool)
         modulator_high = np.zeros(n, dtype=bool)
-        carrier = np.zeros(n, dtype=np.float64)
-        speaker = np.zeros(n, dtype=np.float64)
-        piece = Trace(self.sample_rate, supply, trigger, modulator_high, carrier, speaker,
-                      self.amplitude, i0)
+        sign = np.zeros(n, dtype=np.int8)
+        piece = Trace(self.sample_rate, supply, trigger, modulator_high, sign, self.amplitude,
+                      self.carrier_pair, i0)
         if n == 0:
             return piece
-        times = piece.times
-        first, last = float(times[0]), float(times[-1])
+        rate = float(self.sample_rate)  # as Trace.times divides by it
 
-        def first_at_or_after(t: float) -> int:
-            return int(np.searchsorted(times, t, "left"))
+        def index(t: float, after: bool = False) -> int:  # of the first sample at or after t (after t)
+            return _sample_index(t, rate, i0, i1, after) - i0
 
-        def first_after(t: float) -> int:
-            return int(np.searchsorted(times, t, "right"))
-
+        first, last = i0 / rate, (i1 - 1) / rate
         for start, end in _overlapping(self.alarm_windows, first, last):
-            trigger[first_at_or_after(start):first_at_or_after(end)] = True
+            trigger[index(start):index(end)] = True
         for a, b in _overlapping(self.off_spans, first, last):
-            supply[first_after(a):first_after(b)] = False
+            supply[index(a, True):index(b, True)] = False
 
         t1 = self.modulator.t1
         freq_mod_high, freq_mod_low = self.carrier_pair
         for ref, end, _on, _off in _overlapping(self.segments, first, last):
             # Every sample strictly inside (ref, end) sounds; one at ref or end may not.
-            begin, stop = first_at_or_after(ref), first_after(end)
+            begin, stop = index(ref), index(end, True)
             if begin < stop and not (trigger[begin] and supply[begin]):
                 begin += 1
             if begin < stop and not (trigger[stop - 1] and supply[stop - 1]):
                 stop -= 1
             if begin == stop:
                 continue
-            # In place in the output slices: each fresh temporary costs page faults.
-            out, freq = speaker[begin:stop], carrier[begin:stop]
-            position = self._position(np.subtract(times[begin:stop], ref, out=out))
+            # The stretch's own sample times, then the float chain in place in that one buffer.
+            out = np.arange(i0 + begin, i0 + stop, dtype=np.float64)
+            position = self._position(np.subtract(np.divide(out, rate, out=out), ref, out=out))
             high = np.less(position, t1, out=modulator_high[begin:stop])
             low = ~high
             # 2·f·phase, the phase counted from the last modulator edge
             np.multiply(2.0 * freq_mod_high, position, out=out, where=high)
             np.multiply(2.0 * freq_mod_low, np.subtract(position, t1, out=out, where=low), out=out, where=low)
             # It lies in [0, n_samples) (f below Nyquist, phase within the run), so truncating it
-            # gives its floor, whose parity picks the sign.  freq's buffer is written last, and
-            # take's default mode would copy out through a buffer of its size.
-            parity = freq.view(np.intp)
-            parity[...] = out
+            # in place gives its floor, whose parity picks the sign.
+            parity = out.view(np.intp)
+            np.copyto(parity, out, casting="unsafe")
             np.bitwise_and(parity, 1, out=parity)
-            np.take((self.amplitude, -self.amplitude), parity, out=out, mode="wrap")
-            freq.fill(freq_mod_low)
-            np.copyto(freq, freq_mod_high, where=high)
+            np.take(np.int8((1, -1)), parity, out=sign[begin:stop], mode="wrap")
         return piece
 
     def _position(self, elapsed: np.ndarray) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_extreme_field_values(field, tmp_path):
 SEVERAL_FIELDS = [
     # vcc / relay_coil_resistance underflows to a base current of 0
     ("vcc = 1e-300\nv_be = 0\nv_led = 0\nrelay_coil_resistance = 1e300\n", ("design", "verify", "simulate"),
-     "computation error: r5_ideal: i_b: must be > 0, got 0.0\n"),
+     "computation error: trigger_i_b: i_b: must be > 0, got 0.0\n"),
     # 1/r9 is finite but vcc/r9 overflows
     ("vcc = 1e10\nr9 = 1e-300\n", ("design", "verify", "simulate"),
      "computation error: f_lo_tone: vcc/r9: must be a finite number, got inf\n"),

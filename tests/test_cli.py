@@ -316,7 +316,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag", ["--wav", "--csv"])
     @pytest.mark.parametrize("circuit, message", [
-        ("vcc = 1e200\n", "amp_i_b: p_out: must be a finite number, got inf\n"),  # the report refuses it first
+        ("vcc = 1e200\n", "amp_p_out: p_out: must be a finite number, got inf\n"),  # the report refuses it first
         ("speaker_impedance = 1e308\n", "siren amplitude sqrt("),
     ], ids=["power", "impedance"])
     def test_overflowing_amplitude_writes_nothing(self, touch_scenario, tmp_path, circuit, message, flag):
@@ -847,6 +847,52 @@ class TestConsoleEntry:
             os.close(stdout)
         assert proc.returncode == 3
         assert proc.stderr == f"output error: {reason}\n"
+
+    @pytest.mark.parametrize("args", [
+        ["snap", "4.7k"],
+        ["design"],
+        ["verify"],
+        ["tolerance", "--runs", "100"],
+        ["simulate", "--scenario", "SCN", "--wav", "WAV"],
+    ], ids=["snap", "design", "verify", "tolerance", "simulate-wav"])
+    def test_closed_stdout_is_an_output_error(self, args, touch_scenario, tmp_path):
+        # Python starts with sys.stdout None when fd 1 is closed (`touchalarm design >&-`).
+        files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
+        proc = subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
+                              env=cli_env(), preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == f"output error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+
+    def test_closed_stdout_is_fine_for_a_job_that_prints_nothing(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "touchalarm", "design", "--out", str(tmp_path / "r.txt")],
+                              env=cli_env(), preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "r.txt").read_bytes().startswith(b"quantity")
+
+    @pytest.mark.parametrize("args, stream, code, stderr", [
+        (["--help"], "stdout", 3, "output error: [Errno 28] No space left on device\n"),
+        (["simulate", "--help"], "stdout", 3, "output error: [Errno 28] No space left on device\n"),
+        (["design", "--bogus"], "stderr", 2, None),  # the usage error line is lost, its code is not
+        (["snap", "4.7k", "--series", "E7"], "stderr", 2, None),
+        (["design"], "stderr", 0, None),
+    ], ids=["help", "simulate-help", "bogus-flag", "bad-choice", "design"])
+    def test_unwritable_stdio_outside_a_command(self, args, stream, code, stderr):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        full = os.open("/dev/full", os.O_WRONLY)
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "touchalarm", *args], env=cli_env(), text=True,
+                                  timeout=60, **pipes)
+        finally:
+            os.close(full)
+        assert proc.returncode == code
+        if stderr is not None:
+            assert proc.stderr == stderr
+        if stream == "stderr" and code:
+            assert proc.stdout == ""
 
     def test_profiler_still_prints_its_stats(self):
         proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "touchalarm", "snap", "4.7k"],

@@ -29,17 +29,16 @@ from touchalarm.units import QUOTE_LIMIT
 SPEC = CircuitSpec()
 
 
-def make_trace(n, sample_rate=16000, speaker=None, amplitude=0.0, **channels):
+def make_trace(n, sample_rate=16000, sign=None, amplitude=0.0, carrier_pair=(0.0, 0.0), **channels):
     zeros_b = np.zeros(n, dtype=bool)
-    zeros_f = np.zeros(n, dtype=np.float64)
     return Trace(
         sample_rate=sample_rate,
         supply_on=channels.get("supply_on", zeros_b.copy()),
         trigger_out=channels.get("trigger_out", zeros_b.copy()),
         modulator_high=channels.get("modulator_high", zeros_b.copy()),
-        carrier_freq=channels.get("carrier_freq", zeros_f.copy()),
-        speaker=zeros_f.copy() if speaker is None else np.asarray(speaker, dtype=np.float64),
+        sign=np.zeros(n, dtype=np.int8) if sign is None else np.asarray(sign, dtype=np.int8),
         amplitude=amplitude,
+        carrier_pair=carrier_pair,
     )
 
 
@@ -69,24 +68,22 @@ def reference_csv(trace):
     return "\n".join(lines).encode("utf-8")
 
 
-def table_trace(n, sample_rate=16000, carrier=None, speaker=None, seed=0):
-    """Trace of n samples with random booleans and, by default, a few
-    carrier/speaker values including -0.0 and NaN."""
+# Amplitudes and tones whose reprs are unusual: NaN, a signed zero, subnormals, huge, long.
+SPECIAL = [math.nan, -0.0, 5e-324, 1e-310, 1e300, 0.1 + 0.2, 1 / 3, 6.335, math.inf]
+
+
+def table_trace(n, sample_rate=16000, amplitude=6.335, carrier_pair=(477.1, 488.5), seed=0):
+    """Trace of n samples with random booleans and signs."""
     rng = np.random.default_rng(seed)
-    values = np.array([0.0, -0.0, 477.1, 488.5, np.nan, -6.335, 6.335])
-    if carrier is None:
-        carrier = rng.choice(values, n)
-    if speaker is None:
-        speaker = rng.choice(values, n)
     flags = rng.integers(0, 2, (3, n)).astype(bool)
     return Trace(
         sample_rate=sample_rate,
         supply_on=flags[0],
         trigger_out=flags[1],
         modulator_high=flags[2],
-        carrier_freq=np.asarray(carrier, dtype=np.float64),
-        speaker=np.asarray(speaker, dtype=np.float64),
-        amplitude=6.335,
+        sign=rng.integers(-1, 2, n).astype(np.int8),
+        amplitude=amplitude,
+        carrier_pair=carrier_pair,
     )
 
 
@@ -180,14 +177,14 @@ class TestCsvMatchesReference:
         assert write_csv(trace) == reference_csv(trace)
 
     def test_special_times_and_values(self):
-        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -6.335]
         # whole seconds, binary fractions, 2.5 ns and 0.5 ns steps (near-ties), 1e-300
         for sample_rate in [1, 1024, 4 * 10**8, 2 * 10**9, 10**300]:
-            trace = table_trace(16, sample_rate, carrier=special * 2, speaker=special[::-1] * 2)
-            blob = write_csv(trace)
-            assert blob == reference_csv(trace)
-            assert b",-0.0," in blob and b",nan," in blob and b",1e+300," in blob
-            assert b",-inf\n" in blob
+            for i, amplitude in enumerate(SPECIAL):
+                pair = (SPECIAL[i - 1], SPECIAL[i - 2])
+                trace = table_trace(16, sample_rate, amplitude, pair, seed=i)
+                assert write_csv(trace) == reference_csv(trace)
+        blob = write_csv(table_trace(64, 1024, math.inf, (-0.0, math.nan)))
+        assert b",-0.0," in blob and b",nan," in blob and b",-inf\n" in blob and b",inf\n" in blob
 
     @pytest.mark.parametrize("sample_rate", [44100, 9973, 192000])
     def test_late_times_at_odd_rates(self, sample_rate):
@@ -196,10 +193,11 @@ class TestCsvMatchesReference:
         assert write_csv(trace) == reference_csv(trace)
 
     def test_many_distinct_values(self):
-        n = 5000
-        trace = table_trace(n, sample_rate=7, carrier=np.arange(n)[::-1] * 1.3,
-                            speaker=np.linspace(-6.5, 6.5, n))
-        assert write_csv(trace) == reference_csv(trace)
+        # every one of the 24 forms in one chunk, for tones and amplitudes of many repr lengths
+        for i, amplitude in enumerate(SPECIAL):
+            for pair in [(0.1 + 0.2, 5e-324), (1e300, -0.0), (SPECIAL[i - 3], 1 / 3)]:
+                trace = table_trace(5000, 7, amplitude, pair, seed=i)
+                assert write_csv(trace) == reference_csv(trace)
 
     @pytest.mark.parametrize("sample_rate", [0, -1, 16000.0, 10**400])
     def test_rejects_rates_off_the_grid(self, sample_rate):
@@ -217,27 +215,22 @@ class TestCsvMatchesReference:
         # 1024 Hz puts every odd row on an exact half-nanosecond tie
         st.one_of(st.sampled_from([1024, 8001, 9973, 44100]),
                   st.integers(1, int(sys.float_info.max))),
-        st.lists(
-            st.tuples(
-                st.booleans(), st.booleans(), st.booleans(),
-                st.one_of(st.floats(), st.sampled_from([0.0, 477.1, 488.5])),
-                st.one_of(st.floats(), st.sampled_from([0.0, -6.335, 6.335])),
-            ),
-            max_size=40,
-        )
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans(), st.integers(-1, 1)),
+                 max_size=40),
+        *[st.one_of(st.floats(), st.sampled_from(SPECIAL))] * 3,
     )
     @settings(max_examples=200, deadline=None)
-    def test_random_small_traces(self, sample_rate, rows):
-        columns = list(zip(*rows)) or [()] * 5
-        supply, trigger, modulator, carrier, speaker = (np.array(c) for c in columns)
+    def test_random_small_traces(self, sample_rate, rows, amplitude, tone_high, tone_low):
+        columns = list(zip(*rows)) or [()] * 4
+        supply, trigger, modulator, sign = (np.array(c) for c in columns)
         trace = Trace(
             sample_rate=sample_rate,
             supply_on=supply.astype(bool),
             trigger_out=trigger.astype(bool),
             modulator_high=modulator.astype(bool),
-            carrier_freq=carrier.astype(np.float64),
-            speaker=speaker.astype(np.float64),
-            amplitude=6.335,
+            sign=sign.astype(np.int8),
+            amplitude=amplitude,
+            carrier_pair=(tone_high, tone_low),
         )
         assert write_csv(trace) == reference_csv(trace)
 
@@ -310,7 +303,7 @@ class TestCsvRowsOfChunks:
     def test_fast_modulator(self):
         spec = parse_circuit("c6 = 4.7n\n")
         chunk = held_touch(2.0, spec).render(1000, 1000 + 30000)
-        runs = 1 + np.count_nonzero((np.diff(chunk.carrier_freq) != 0) | (np.diff(chunk.speaker) != 0))
+        runs = 1 + np.count_nonzero((np.diff(chunk.modulator_high) != 0) | (np.diff(chunk.sign) != 0))
         assert runs > len(chunk.times) / 3  # about two rows per run
         self.assert_matches_reference(chunk, 16000)
 
@@ -372,9 +365,7 @@ class TestWav:
         assert parsed["bits"] == 16
 
     def test_full_amplitude_maps_to_29490(self):
-        amplitude = 6.0
-        speaker = np.array([amplitude, -amplitude, 0.0])
-        blob = write_wav(make_trace(3, speaker=speaker, amplitude=amplitude))
+        blob = write_wav(make_trace(3, sign=[1, -1, 0], amplitude=6.0))
         samples = parse_wav(blob)["samples"]
         assert WAV_FULL_SCALE == math.floor(0.9 * 32767) == 29490
         np.testing.assert_array_equal(samples, [29490, -29490, 0])
@@ -409,8 +400,8 @@ class TestWav:
         # 1 s of a steady f Hz square has 2f ± 1 sign flips.
         f, rate, amplitude = 481.0, 16000, 6.0
         times = np.arange(rate) / rate
-        speaker = amplitude * np.where(np.floor(2.0 * f * times) % 2 == 0, 1.0, -1.0)
-        blob = write_wav(make_trace(rate, speaker=speaker, amplitude=amplitude))
+        sign = np.where(np.floor(2.0 * f * times) % 2 == 0, 1, -1)
+        blob = write_wav(make_trace(rate, sign=sign, amplitude=amplitude))
         samples = parse_wav(blob)["samples"]
         flips = np.count_nonzero(np.diff(np.sign(samples)))
         assert abs(flips - 2 * f) <= 1
@@ -419,21 +410,20 @@ class TestWav:
         trace = alarm_trace(duration=0.5)
         assert write_wav(trace) == write_wav(trace)
 
-    @pytest.mark.parametrize("amplitude", [6.0, 1e-300, 3e300, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("amplitude", [6.0, 1e-300, 3e300, 0.0, -1.0, math.nan, *SPECIAL[1:6]])
     def test_pcm_matches_the_plain_expression(self, amplitude):
-        speaker = np.array([6.0, -6.0, 0.0, -0.0, 2.9999, 3.0000001, 1e6, -1e6, 1e-310, -5e-324,
-                            math.inf, -math.inf, 6.0 / 29490 * 0.5, -6.0 / 29490 * 1.5])
-        before = speaker.copy()
+        sign = np.array([1, -1, 0, 0, 1, -1], dtype=np.int8)
+        before = sign.copy()
         if amplitude > 0:
-            with np.errstate(over="ignore", under="ignore"):
-                expected = np.clip(np.rint(WAV_FULL_SCALE * speaker / amplitude),
-                                   -32768, 32767).astype("<i2")
+            expected = np.clip(np.rint(WAV_FULL_SCALE * (amplitude * sign) / amplitude),
+                               -32768, 32767).astype("<i2")
         else:
-            expected = np.zeros(len(speaker), "<i2")
-        with np.errstate(over="ignore", under="ignore"):
-            got = wav_pcm(speaker, amplitude)
+            expected = np.zeros(len(sign), "<i2")
+        got = wav_pcm(sign, amplitude)
         assert got.dtype == np.dtype("<i2") and got.tobytes() == expected.tobytes()
-        assert speaker.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+        assert sign.tolist() == before.tolist()
+        trace = make_trace(len(sign), sign=sign, amplitude=amplitude)
+        assert write_wav(trace)[44:] == expected.tobytes()
 
 
 class TestReports:

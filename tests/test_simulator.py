@@ -556,8 +556,15 @@ class TestRunValidation:
     def test_trace_holds_only_samples(self):
         # run facts (windows, sounding time, log) come from the Timeline
         assert Trace._fields == ("sample_rate", "supply_on", "trigger_out", "modulator_high",
-                                 "carrier_freq", "speaker", "amplitude", "start")
+                                 "sign", "amplitude", "carrier_pair", "start")
         assert not hasattr(Trace, "sounding_seconds")
+
+    def test_rendered_trace_holds_four_bytes_a_sample(self):
+        trace = run(SPEC, _scenario((0.5, "touch_start"), (2.0, "mains_fail"), duration=3.0), SimConfig())
+        channels = [value for value in trace if isinstance(value, np.ndarray)]
+        assert [c.dtype for c in channels] == [np.dtype(bool)] * 3 + [np.dtype(np.int8)]
+        assert sum(c.nbytes for c in channels) == 4 * trace.n_samples == 4 * 48000
+        assert set(np.unique(trace.sign).tolist()) == {-1, 0, 1}
 
     def test_sample_budget(self, monkeypatch):
         monkeypatch.setattr("touchalarm.simulator.MAX_SAMPLES", 16000)
@@ -579,7 +586,7 @@ class TestRunValidation:
             run(CircuitSpec(c2=0.0), Scenario((), 1.0), SimConfig())
 
     @pytest.mark.parametrize("spec, message", [
-        (CircuitSpec(vcc=1e200), r"^amp_i_b: p_out: must be a finite number, got inf$"),  # the report's check
+        (CircuitSpec(vcc=1e200), r"^amp_p_out: p_out: must be a finite number, got inf$"),  # the report's check
         (CircuitSpec(speaker_impedance=1e308), r"^siren amplitude sqrt\(.* is not finite$"),
     ], ids=["power", "impedance"])
     def test_overflowing_amplitude_is_a_design_error(self, spec, message):

@@ -147,7 +147,7 @@ class TestChunkEdges:
             assert type(piece) is simulator.Trace and piece.start == i0, (i0, i1)
             assert piece.times.view(np.uint64).tolist() \
                 == (np.arange(i0, i1) / rate).view(np.uint64).tolist(), (i0, i1)
-            pcm = export.wav_pcm(piece.speaker, whole.amplitude).tobytes()
+            pcm = export.wav_pcm(piece.sign, whole.amplitude).tobytes()
             assert write_wav(piece) == export.wav_header(rate, i1 - i0) + pcm, (i0, i1)
         assert [piece.start for piece in whole.chunks()] == [0, edge, 2 * edge]
 
@@ -348,11 +348,11 @@ class TestAllOrNothing:
             (tmp_path / name).write_bytes(b"old")
         calls, wav_pcm = [], export.wav_pcm
 
-        def failing_pcm(speaker, amplitude):
-            calls.append(len(speaker))
+        def failing_pcm(sign, amplitude):
+            calls.append(len(sign))
             if len(calls) == 2:
                 raise MemoryError("out of memory in chunk 2")
-            return wav_pcm(speaker, amplitude)
+            return wav_pcm(sign, amplitude)
 
         monkeypatch.setattr(export, "wav_pcm", failing_pcm)
         assert main(["simulate", "--scenario", str(tmp_path / "t.scn"),
