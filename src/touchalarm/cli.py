@@ -6,20 +6,25 @@ figures; exits 1 when errata are found), ``tolerance`` (Monte Carlo spread
 of the trigger timeout).
 
 Exit codes: 0 success, 1 errata found, 2 usage error, 3 input- or output-file
-error, 4 computation error.  Reports and summaries go to stdout, diagnostics to
-stderr.  Output files are written to temp names and renamed only once all
-of a command's files are complete; ``simulate`` streams its samples into
-them chunk by chunk.  ``snap`` loads neither ``design`` nor numpy; only
+error, 4 computation error, 130 and 143 after SIGINT and SIGTERM.  Reports,
+summaries and ``--help`` go to stdout, diagnostics to stderr.  ``_commit``
+makes all of a command's output visible at once: files are written to temp
+names, then the stdout text is written and flushed, and only then are the
+files renamed; ``simulate`` streams its samples into them chunk by chunk.
+Existing targets that are not regular files are refused; symlinks are
+followed.  ``snap`` loads neither ``design`` nor numpy; only
 ``simulate`` and ``tolerance`` load the numpy-backed ``simulator`` and
 ``export``.  ``run`` (``python -m touchalarm``, the ``touchalarm`` script)
 turns the collector off, sets ``OPENBLAS_NUM_THREADS=1`` unless set (no idle
-BLAS worker), runs the ``atexit`` handlers once ``main`` returns and leaves
-through ``os._exit``, skipping teardown (``SystemExit`` under a profiler, a
-tracer or ``-i``); ``main`` leaves the collector alone.
+BLAS worker), turns SIGTERM into the unwinding that Ctrl-C takes, runs the
+``atexit`` handlers once ``main`` returns and leaves through ``os._exit``,
+skipping teardown (``SystemExit`` under a profiler, a tracer or ``-i``);
+``main`` leaves the collector and the signal handlers alone.
 """
 
 from __future__ import annotations
 
+import _signal  # loaded at start-up: `signal` would build its enum classes on every job
 import argparse
 import atexit
 import contextlib
@@ -39,6 +44,8 @@ EXIT_ERRATA = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_COMPUTE = 4
+EXIT_SIGINT = 130  # 128 + the signal number, as a shell reports a process the signal ended
+EXIT_SIGTERM = 143
 
 # Budget for each circuit or scenario file: room for a scenario at
 # simulator.MAX_EVENTS events with 64 bytes a line.
@@ -54,6 +61,9 @@ _BARE = r"(?s)(?<=^unrecognized arguments: ).*|(?<=^ambiguous option: ).*(?= cou
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # --help passes no file: its text is committed as a report is
+        _commit(self.format_help())
+
     def error(self, message):  # keep argparse from calling sys.exit directly
         message = re.sub(_BARE, lambda m: quoted(m[0]) if len(m[0]) > QUOTE_LIMIT else m[0], message)
         raise UsageError(re.sub(_QUOTED, _cut, message))  # compiled on the first usage error
@@ -135,23 +145,26 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
     return design.parse_circuit(_read_input(path, CircuitFileError))
 
 
-def _write_files(paths, pieces) -> None:
-    """Write each ``(i, blocks)`` of ``pieces`` to a ``.partial`` file of ``paths[i]``; then rename them all.
+def _commit(text: str, paths=(), pieces=()) -> None:
+    """Make a command's output visible at once: ``text`` on stdout and every file of ``paths``, or none of it.
 
-    A target that is a directory or another target's ``.partial`` file is
-    refused before anything is opened, and a ``.partial`` file that cannot be
-    opened, written, closed or renamed is reported under its target's name.  Any
-    failure removes every ``.partial`` file and leaves every target alone.
+    Each ``(i, blocks)`` of ``pieces`` goes to a ``.partial`` file beside
+    ``paths[i]``, or beside the file a symlink there resolves to.  Once all
+    are closed, ``text`` is written to stdout and flushed (empty text needs
+    no stdout; one closed at start-up, so ``None``, cannot take any), and only
+    then are the files renamed.  An existing target that is not a regular
+    file, or that is another target's ``.partial`` file, is refused before
+    anything is opened; a file error names its target as given.  Any failure
+    or interrupt removes every ``.partial`` file and leaves every target alone.
     """
-    targets = [Path(path) for path in paths]
-    temps = [target.with_name(target.name + ".partial") for target in targets]
-    resolved = {target.resolve() for target in targets}
-    for tmp, target in zip(temps, targets):
-        if tmp.resolve() in resolved:
-            raise UsageError(f"{quoted(str(tmp))} is an output and the temp file of {quoted(str(target))}")
-    for target in targets:
-        if target.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    reals = [os.path.realpath(path) for path in paths]  # renamed onto, so a symlink target keeps its link
+    temps = [Path(real + ".partial") for real in reals]
+    for path, real, tmp in zip(paths, reals, temps):
+        if os.path.realpath(tmp) in reals:
+            raise UsageError(f"{quoted(str(tmp))} is an output and the temp file of {quoted(path)}")
+        if os.path.lexists(real) and not os.path.isfile(real):  # a directory, FIFO, socket, device or link loop
+            raise OSError(f"not a regular file: {quoted(path)}")
+    i = None  # the file at fault, if any: its error is reported under its target's name
     try:
         with contextlib.ExitStack() as stack:
             files = []
@@ -162,31 +175,26 @@ def _write_files(paths, pieces) -> None:
                 files[i].writelines(blocks)
             for i, file in enumerate(files):
                 file.close()
-            for i, (tmp, target) in enumerate(zip(temps, targets)):
-                os.replace(tmp, target)
-    except OSError as exc:  # raised for output i, once every .partial file is closed and removed
-        raise OSError(exc.errno, exc.strerror, str(targets[i])) from None
-
-
-def _write(text: str) -> None:
-    """Write to stdout; one closed at start-up (``>&-``, so ``None``) is an output that cannot be written."""
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
-    sys.stdout.write(text)
-
-
-def _emit(blob: bytes, out: str | None) -> None:
-    if out is None:
-        _write(blob.decode("utf-8"))
-    else:
-        _write_files([out], [(0, [blob])])
+            i = None  # stdout's errors name stdout, not a file
+            if text:
+                if sys.stdout is None:
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+                sys.stdout.write(text)
+                sys.stdout.flush()  # a report that cannot be written is an output error however stdout is buffered
+            for i, (tmp, real) in enumerate(zip(temps, reals)):
+                os.replace(tmp, real)
+    except OSError as exc:  # raised once every .partial file is closed and removed
+        raise exc if i is None else OSError(exc.errno, exc.strerror, paths[i]) from None
 
 
 def cmd_design(args) -> int:
     from . import design
 
-    report = design.compute_report(_load_spec(args.circuit))
-    _emit(design.write_report(report, args.format), args.out)
+    blob = design.write_report(design.compute_report(_load_spec(args.circuit)), args.format)
+    if args.out is None:
+        _commit(blob.decode("utf-8"))
+    else:
+        _commit("", [args.out], [(0, [blob])])
     return EXIT_OK
 
 
@@ -194,7 +202,7 @@ def cmd_simulate(args) -> int:
     if args.csv is None and args.wav is None:
         raise UsageError("nothing to write: pass --csv and/or --wav")
     if args.csv is not None and args.wav is not None \
-            and Path(args.csv).resolve() == Path(args.wav).resolve():
+            and os.path.realpath(args.csv) == os.path.realpath(args.wav):
         raise UsageError("--csv and --wav name the same file")
     ideal_pair = None
     if args.ideal_pair is not None:
@@ -232,10 +240,8 @@ def cmd_simulate(args) -> int:
         for chunk in timeline.chunks():
             yield from enumerate(encode(chunk) for encode in encoders)
 
-    _write_files(paths, pieces())
-
     sounding = format_quantity(Quantity(timeline.sounding_seconds, "second"))
-    _write(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n")
+    _commit(f"alarm_windows={len(timeline.alarm_windows)} sounding={sounding}\n", paths, pieces())
     return EXIT_OK
 
 
@@ -245,7 +251,7 @@ def cmd_snap(args) -> int:
         snapped = snap_preferred(value, args.series, args.mode)
     except QuantityError as exc:
         raise UsageError(str(exc)) from exc
-    _write(f"{format_number(value)} -> {format_number(snapped)}\n")
+    _commit(f"{format_number(value)} -> {format_number(snapped)}\n")
     return EXIT_OK
 
 
@@ -257,7 +263,7 @@ def cmd_verify(args) -> int:
         errata = design.verify_reference_values(report, args.tolerance)
     except DesignError as exc:  # its one check is of the tolerance
         raise UsageError(f"--{exc}") from exc
-    _write(design.write_report(errata, "text").decode("utf-8"))
+    _commit(design.write_report(errata, "text").decode("utf-8"))
     return EXIT_ERRATA if errata.has_errata else EXIT_OK
 
 
@@ -270,7 +276,7 @@ def cmd_tolerance(args) -> int:
     def fmt(x: float) -> str:
         return format_quantity(Quantity(x, "second"), digits=6)
 
-    _write(
+    _commit(
         f"runs={result.runs} min={fmt(result.min)} mean={fmt(result.mean)} "
         f"max={fmt(result.max)} stddev={fmt(result.stddev)} contains_measured={contains}\n"
     )
@@ -299,13 +305,9 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as done:  # argparse has printed --help: flushed and checked below as any report
-            code = done.code
-        else:
-            code = _COMMANDS[args.command](args)
-        if sys.stdout is not None:
-            sys.stdout.flush()  # a report that cannot be written is an output error however stdout is buffered
-        return code
+        except SystemExit as done:  # argparse's exit after --help, which _Parser.print_help has committed
+            return done.code
+        return _COMMANDS[args.command](args)
     except (UsageError, ExportError, SimulationError) as exc:
         return _diagnose(EXIT_USAGE, f"usage error: {exc}")
     except (CircuitFileError, ScenarioError) as exc:
@@ -318,10 +320,19 @@ def main(argv=None) -> int:
         return _diagnose(EXIT_COMPUTE, f"computation error: {type(exc).__name__}: {exc}")
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(EXIT_SIGTERM)  # unwinds as Ctrl-C does
+
+
 def run() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no linear algebra here: start no idle BLAS worker
     gc.disable()  # a job leaves a bounded set of cycles (the parser's): skip the collector's passes
-    code = main()
+    if _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL:  # one ignored by the parent stays ignored
+        _signal.signal(_signal.SIGTERM, _terminate)
+    try:
+        code = main()
+    except KeyboardInterrupt as stop:  # Ctrl-C or SIGTERM: the unwinding has removed every .partial file
+        code = _diagnose(stop.args[0] if stop.args else EXIT_SIGINT, "interrupted")
     if sys.flags.inspect or sys.getprofile() or sys.gettrace():  # -i, a profiler or a tracer has work after it
         raise SystemExit(code)
     atexit._run_exitfuncs()

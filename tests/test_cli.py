@@ -777,6 +777,15 @@ class TestNoGeneratedCode:
         assert not names & {"dataclasses", "inspect"}
 
 
+def _assert_no_file_was_renamed(wav, job):
+    """After ``job`` failed on its stdout: ``wav`` was not written, and a second failing run keeps an old one."""
+    partial = wav.with_name(wav.name + ".partial")
+    assert not wav.exists() and not partial.exists()
+    wav.write_bytes(b"old")
+    assert job().returncode == 3
+    assert wav.read_bytes() == b"old" and not partial.exists()
+
+
 class TestConsoleEntry:
     """``python -m touchalarm``: the exit path that runs the ``atexit`` handlers and skips the teardown."""
 
@@ -831,22 +840,28 @@ class TestConsoleEntry:
         ["simulate", "--scenario", "SCN", "--wav", "WAV"],
     ], ids=["snap", "design", "verify", "tolerance", "simulate-wav"])
     def test_unwritable_stdout_is_an_output_error(self, sink, reason, args, touch_scenario, tmp_path):
-        if sink == "full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("needs /dev/full")
-            stdout = os.open("/dev/full", os.O_WRONLY)
-        else:
-            read, stdout = os.pipe()
-            os.close(read)  # the reader is gone before the job starts
+        if sink == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
         files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
-        try:
-            proc = subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
-                                  env=cli_env(), stdout=stdout, stderr=subprocess.PIPE,
-                                  text=True, timeout=60)
-        finally:
-            os.close(stdout)
+
+        def job():
+            if sink == "full":
+                stdout = os.open("/dev/full", os.O_WRONLY)
+            else:
+                read, stdout = os.pipe()
+                os.close(read)  # the reader is gone before the job starts
+            try:
+                return subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
+                                      env=cli_env(), stdout=stdout, stderr=subprocess.PIPE,
+                                      text=True, timeout=60)
+            finally:
+                os.close(stdout)
+
+        proc = job()
         assert proc.returncode == 3
         assert proc.stderr == f"output error: {reason}\n"
+        if "WAV" in args:
+            _assert_no_file_was_renamed(tmp_path / "x.wav", job)
 
     @pytest.mark.parametrize("args", [
         ["snap", "4.7k"],
@@ -854,15 +869,22 @@ class TestConsoleEntry:
         ["verify"],
         ["tolerance", "--runs", "100"],
         ["simulate", "--scenario", "SCN", "--wav", "WAV"],
-    ], ids=["snap", "design", "verify", "tolerance", "simulate-wav"])
+        ["--help"],
+    ], ids=["snap", "design", "verify", "tolerance", "simulate-wav", "help"])
     def test_closed_stdout_is_an_output_error(self, args, touch_scenario, tmp_path):
         # Python starts with sys.stdout None when fd 1 is closed (`touchalarm design >&-`).
         files = {"SCN": touch_scenario, "WAV": str(tmp_path / "x.wav")}
-        proc = subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
-                              env=cli_env(), preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
-                              text=True, timeout=60)
+
+        def job():
+            return subprocess.run([sys.executable, "-m", "touchalarm", *(files.get(a, a) for a in args)],
+                                  env=cli_env(), preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+
+        proc = job()
         assert proc.returncode == 3
         assert proc.stderr == f"output error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+        if "WAV" in args:
+            _assert_no_file_was_renamed(tmp_path / "x.wav", job)
 
     def test_closed_stdout_is_fine_for_a_job_that_prints_nothing(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "touchalarm", "design", "--out", str(tmp_path / "r.txt")],
