@@ -33,7 +33,6 @@ import gc
 import os
 import re
 import sys
-from pathlib import Path
 
 from .units import (QUOTE_LIMIT, SERIES, SNAP_MODES, CircuitFileError, DesignError, ExportError,
                     Quantity, QuantityError, ScenarioError, SimulationError, format_number,
@@ -148,20 +147,22 @@ def _load_spec(path: str | None) -> design.CircuitSpec:
 def _commit(text: str, paths=(), pieces=()) -> None:
     """Make a command's output visible at once: ``text`` on stdout and every file of ``paths``, or none of it.
 
-    Each ``(i, blocks)`` of ``pieces`` goes to a ``.partial`` file beside
-    ``paths[i]``, or beside the file a symlink there resolves to.  Once all
-    are closed, ``text`` is written to stdout and flushed (empty text needs
-    no stdout; one closed at start-up, so ``None``, cannot take any), and only
-    then are the files renamed.  An existing target that is not a regular
-    file, or that is another target's ``.partial`` file, is refused before
-    anything is opened; a file error names its target as given.  Any failure
-    or interrupt removes every ``.partial`` file and leaves every target alone.
+    Each ``(i, blocks)`` of ``pieces`` goes to a new ``.partial`` file beside
+    ``paths[i]``, or beside the file a symlink there resolves to; a stale
+    entry at that name is removed first, so a symlink there redirects
+    nothing.  Once all are closed, ``text`` is written to stdout and flushed
+    (empty text needs no stdout; one closed at start-up, so ``None``, cannot
+    take any), and only then are the files renamed.  An existing target that
+    is not a regular file, or that is another target's ``.partial`` file, is
+    refused before anything is opened; a file error names its target as
+    given.  Any failure or interrupt removes every ``.partial`` file and
+    leaves every target alone.
     """
     reals = [os.path.realpath(path) for path in paths]  # renamed onto, so a symlink target keeps its link
-    temps = [Path(real + ".partial") for real in reals]
+    temps = [real + ".partial" for real in reals]
     for path, real, tmp in zip(paths, reals, temps):
         if os.path.realpath(tmp) in reals:
-            raise UsageError(f"{quoted(str(tmp))} is an output and the temp file of {quoted(path)}")
+            raise UsageError(f"{quoted(tmp)} is an output and the temp file of {quoted(path)}")
         if os.path.lexists(real) and not os.path.isfile(real):  # a directory, FIFO, socket, device or link loop
             raise OSError(f"not a regular file: {quoted(path)}")
     i = None  # the file at fault, if any: its error is reported under its target's name
@@ -169,8 +170,9 @@ def _commit(text: str, paths=(), pieces=()) -> None:
         with contextlib.ExitStack() as stack:
             files = []
             for i, tmp in enumerate(temps):
-                stack.callback(tmp.unlink, missing_ok=True)  # gone already after a successful rename
-                files.append(stack.enter_context(open(tmp, "wb")))
+                _remove(tmp)  # a stale entry; one that reappears fails the exclusive create
+                stack.callback(_remove, tmp)  # gone already after a successful rename
+                files.append(stack.enter_context(open(tmp, "xb")))  # O_EXCL: never through a symlink
             for i, blocks in pieces:
                 files[i].writelines(blocks)
             for i, file in enumerate(files):
@@ -185,6 +187,11 @@ def _commit(text: str, paths=(), pieces=()) -> None:
                 os.replace(tmp, real)
     except OSError as exc:  # raised once every .partial file is closed and removed
         raise exc if i is None else OSError(exc.errno, exc.strerror, paths[i]) from None
+
+
+def _remove(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 def cmd_design(args) -> int:

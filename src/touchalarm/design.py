@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .units import (E6, E12, CircuitFileError, DesignError, ExportError, Quantity, QuantityError,
                     format_quantity, lines, parse_quantity, quoted, snap_preferred)
@@ -160,12 +159,8 @@ def monostable_period(r: float, c: float) -> float:
     return period
 
 
-class AstableTimes(NamedTuple):
-    t1: float
-    t2: float
-    period: float
-    frequency: float
-    duty: float
+class AstableTimes(namedtuple("AstableTimes", "t1 t2 period frequency duty")):
+    __slots__ = ()
 
 
 def _astable(ra: float, rb: float, c: float, times) -> AstableTimes:
@@ -201,9 +196,8 @@ def astable_times_cv(ra: float, rb: float, c: float, vcc: float, v_ctl: float) -
     return _astable(ra, rb, c, lambda: ((ra + rb) * c * ratio, rb * c * LN2))
 
 
-class ModulationVoltages(NamedTuple):
-    v_ctl_low: float
-    v_ctl_high: float
+class ModulationVoltages(namedtuple("ModulationVoltages", "v_ctl_low v_ctl_high")):
+    __slots__ = ()
 
 
 def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
@@ -227,10 +221,8 @@ def modulation_voltages(vcc: float, r9: float) -> ModulationVoltages:
     return volts
 
 
-class LedResistor(NamedTuple):
-    r_ideal: float
-    r_snapped: float
-    i_actual: float
+class LedResistor(namedtuple("LedResistor", "r_ideal r_snapped i_actual")):
+    __slots__ = ()
 
 
 def led_resistor(v_supply: float, v_led: float, i_led: float) -> LedResistor:
@@ -246,10 +238,8 @@ def led_resistor(v_supply: float, v_led: float, i_led: float) -> LedResistor:
     return LedResistor(r_ideal, r_snapped, i_actual)
 
 
-class FilterCapacitor(NamedTuple):
-    r_load: float
-    c_ideal: float
-    c_snapped: float
+class FilterCapacitor(namedtuple("FilterCapacitor", "r_load c_ideal c_snapped")):
+    __slots__ = ()
 
 
 def filter_capacitor(f: float, ripple_factor: float, v_reg: float, i_reg: float) -> FilterCapacitor:
@@ -265,9 +255,8 @@ def filter_capacitor(f: float, ripple_factor: float, v_reg: float, i_reg: float)
     return FilterCapacitor(r_load, c_ideal, stage("c_ideal", snap_preferred, c_ideal, E6))
 
 
-class PivCheck(NamedTuple):
-    piv: float
-    within_rating: bool
+class PivCheck(namedtuple("PivCheck", "piv within_rating")):
+    __slots__ = ()
 
 
 def peak_inverse_voltage(v_secondary: float, diode_rating: float) -> PivCheck:
@@ -279,11 +268,8 @@ def peak_inverse_voltage(v_secondary: float, diode_rating: float) -> PivCheck:
     return PivCheck(piv, piv < diode_rating)
 
 
-class BaseResistor(NamedTuple):
-    i_c: float
-    i_b: float
-    r_ideal: float
-    r_snapped: float
+class BaseResistor(namedtuple("BaseResistor", "i_c i_b r_ideal r_snapped")):
+    __slots__ = ()
 
 
 def base_resistor(vcc: float, v_be: float, coil_resistance: float, hfe: float,
@@ -307,10 +293,8 @@ def base_resistor(vcc: float, v_be: float, coil_resistance: float, hfe: float,
     return BaseResistor(i_c, i_b, r_ideal, stage("r_ideal", snap_preferred, r_ideal, E12))
 
 
-class AmplifierPower(NamedTuple):
-    i_b: float
-    i_e: float
-    p_out: float
+class AmplifierPower(namedtuple("AmplifierPower", "i_b i_e p_out")):
+    __slots__ = ()
 
 
 def amplifier_power(vcc: float, v_be: float, r_base: float, hfe: float) -> AmplifierPower:
@@ -337,12 +321,8 @@ def trigger_threshold(vcc: float) -> float:
 # --- aggregate report -----------------------------------------------------------
 
 
-class DesignRecord(NamedTuple):
-    name: str
-    ideal: float
-    unit: str
-    formula: str
-    snapped: float | None = None
+class DesignRecord(namedtuple("DesignRecord", "name ideal unit formula snapped", defaults=[None])):
+    __slots__ = ()
 
 
 class _Named(tuple):
@@ -435,13 +415,10 @@ def compute_report(spec: CircuitSpec) -> DesignReport:
 # --- audit against the reference write-up's worked figures ----------------------
 
 
-class ErrataEntry(NamedTuple):
-    name: str
-    computed: float
-    claimed: float
-    unit: str
-    verdict: str  # "MATCH" or "ERRATUM"
-    tolerance: float
+class ErrataEntry(namedtuple("ErrataEntry", "name computed claimed unit verdict tolerance")):
+    """One audited figure: ``verdict`` is "MATCH" or "ERRATUM"."""
+
+    __slots__ = ()
 
 
 class ErrataReport(_Named):

@@ -28,9 +28,9 @@ import bisect
 import heapq
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
 from operator import ge, gt, itemgetter
-from typing import NamedTuple
 
 from . import design
 from .units import QUOTE_LIMIT, DesignError, ScenarioError, SimulationError, lines, quoted
@@ -68,16 +68,14 @@ MAX_RUNS = 2**22
 np.empty(2**18)
 
 
-class ScenarioEvent(NamedTuple):
-    time: float
-    kind: str
+class ScenarioEvent(namedtuple("ScenarioEvent", "time kind")):
+    __slots__ = ()
 
 
-class Scenario(NamedTuple):
-    """Time-ordered external events plus the simulated duration."""
+class Scenario(namedtuple("Scenario", "events duration", defaults=[(), 30.0])):
+    """Time-ordered external events (a tuple of ``ScenarioEvent``) plus the simulated duration."""
 
-    events: tuple[ScenarioEvent, ...] = ()
-    duration: float = 30.0
+    __slots__ = ()
 
     def validate(self) -> None:
         previous = 0.0
@@ -146,12 +144,11 @@ def _rate_text(x) -> str:  # an int as %g, else repr, cut as units.quoted cuts: 
     return text if len(text) <= QUOTE_LIMIT else f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
-class SimConfig(NamedTuple):
-    sample_rate: int = 16000
-    switchover_delay: float = 0.010
-    battery_present: bool = True
-    ideal_pair: tuple[float, float] | None = None  # None selects the control-pin model
-    retrigger: str = "level_sensitive"
+class SimConfig(namedtuple("SimConfig", "sample_rate switchover_delay battery_present ideal_pair retrigger",
+                           defaults=[16000, 0.010, True, None, "level_sensitive"])):
+    """How to simulate: ``ideal_pair`` gives two fixed siren tones, or is None for the control-pin model."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if isinstance(self.sample_rate, int) and abs(self.sample_rate) > sys.float_info.max:
@@ -170,27 +167,21 @@ class SimConfig(NamedTuple):
                     raise SimulationError(f"ideal_pair frequencies must be finite and > 0, got {f!r}")
 
 
-class TraceEvent(NamedTuple):
-    time: float
-    what: str
+class TraceEvent(namedtuple("TraceEvent", "time what")):
+    __slots__ = ()
 
 
-class Trace(NamedTuple):
+class Trace(namedtuple("Trace", "sample_rate supply_on trigger_out modulator_high sign amplitude carrier_pair "
+                                "start", defaults=[0])):
     """Samples ``start..start + n_samples`` of the node waveforms, on the grid ``k / sample_rate``.
 
-    The siren is stored as ``sign`` (int8: ±1 sounding, 0 silent) with the scalars ``amplitude``
-    and ``carrier_pair``; ``speaker`` and ``carrier_freq`` derive the float channels from them.
-    The run's facts (windows, sounding time, event log) live on its ``Timeline``.
+    ``supply_on``, ``trigger_out`` and ``modulator_high`` are bool arrays.  The siren is stored as
+    ``sign`` (int8: ±1 sounding, 0 silent) with the scalars ``amplitude`` and ``carrier_pair``,
+    the tones (modulator high, modulator low); ``speaker`` and ``carrier_freq`` derive the float
+    channels from them.  The run's facts (windows, sounding time, event log) live on its ``Timeline``.
     """
 
-    sample_rate: int
-    supply_on: np.ndarray
-    trigger_out: np.ndarray
-    modulator_high: np.ndarray
-    sign: np.ndarray
-    amplitude: float
-    carrier_pair: tuple[float, float]  # (modulator high, modulator low)
-    start: int = 0
+    __slots__ = ()
 
     @property
     def times(self) -> np.ndarray:
@@ -257,25 +248,21 @@ def _sample_index(t: float, rate: float, i0: int, i1: int, after: bool = False) 
     return k
 
 
-class Timeline(NamedTuple):
+class Timeline(namedtuple("Timeline", "sample_rate n_samples duration alarm_windows off_spans segments notes "
+                                      "modulator carrier_pair amplitude")):
     """A simulated scenario as intervals, before sampling.
 
-    All three interval lists are sorted and disjoint.  ``render`` samples any
+    The trigger is high on each ``alarm_windows`` (start, end) as [start, end), the supply is off
+    on each ``off_spans`` (a, b] and the siren sounds in each ``segments`` (ref, end, on, off);
+    all three are tuples, sorted and disjoint.  ``notes`` are ``TraceEvent``s, time-ordered and
+    none past the duration; ``modulator`` is the ``design.AstableTimes`` of the modulator and
+    ``carrier_pair`` its tones (modulator high, modulator low).  ``render`` samples any
     stretch of the grid; pieces rendered over any cut points concatenate to
     exactly ``render(0, n_samples)``.  ``log()`` merges the modulator edges
     into ``notes``, the O(breakpoints) log entries that give each cause.
     """
 
-    sample_rate: int
-    n_samples: int
-    duration: float
-    alarm_windows: tuple[tuple[float, float], ...]  # trigger high on [start, end)
-    off_spans: tuple[tuple[float, float], ...]  # supply off on (a, b]
-    segments: tuple[tuple[float, float, str, str], ...]  # sounding (ref, end, on, off)
-    notes: tuple[TraceEvent, ...]  # time-ordered, none past the duration
-    modulator: design.AstableTimes
-    carrier_pair: tuple[float, float]  # (modulator high, modulator low)
-    amplitude: float
+    __slots__ = ()
 
     @property
     def sounding_intervals(self) -> tuple[tuple[float, float], ...]:
@@ -462,7 +449,7 @@ def timeline(spec: design.CircuitSpec, scenario: Scenario,
     segments: list[tuple[float, float, str, str]] = []
     for window_start, window_end, _cause in windows:
         cursor, on = window_start, "alarm onset"
-        for a, b in off_spans[bisect.bisect_right(span_ends, window_start):]:
+        for a, b in off_spans[bisect.bisect_left(span_ends, window_start):]:
             if a >= window_end or cursor >= window_end:
                 break
             if a >= cursor:
@@ -499,12 +486,8 @@ def run(spec: design.CircuitSpec, scenario: Scenario, config: SimConfig | None =
 # --- Monte Carlo tolerance study ---------------------------------------------
 
 
-class ToleranceResult(NamedTuple):
-    runs: int
-    min: float
-    max: float
-    mean: float
-    stddev: float
+class ToleranceResult(namedtuple("ToleranceResult", "runs min max mean stddev")):
+    __slots__ = ()
 
     def contains(self, target: float) -> bool:
         return self.min <= target <= self.max

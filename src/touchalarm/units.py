@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 UNIT_SYMBOLS = {
     "ohm": "Ω",
@@ -89,12 +90,7 @@ class ExportError(ValueError):
     """Export parameters do not fit the data being written."""
 
 
-class _Quantity(NamedTuple):
-    magnitude: float
-    unit: str
-
-
-class Quantity(_Quantity):
+class Quantity(namedtuple("Quantity", "magnitude unit")):
     """A finite scalar tagged with one of the supported units."""
 
     __slots__ = ()
@@ -209,12 +205,7 @@ def _shortest_digits(mantissa: float, factor: float, target: float) -> str:
 # --- IEC 60063 preferred value series -----------------------------------------
 
 
-class _ESeries(NamedTuple):
-    name: str
-    mantissas: tuple[float, ...]
-
-
-class ESeries(_ESeries):
+class ESeries(namedtuple("ESeries", "name mantissas")):
     """One decade of preferred values, e.g. E12 = 1.0, 1.2, ... 8.2."""
 
     __slots__ = ()

@@ -48,8 +48,9 @@ def test_readme_streaming_import():
     assert namespace["timeline"] is simulator.timeline
 
 
-def test_no_module_imports_dataclasses():
-    # Records are typing.NamedTuples: a dataclass execs generated source at import.
+def test_no_module_imports_typing_pathlib_or_dataclasses():
+    # Records are collections.namedtuple subclasses: a dataclass execs generated source at import, a
+    # typing.NamedTuple turns each annotation into a ForwardRef, and pathlib would load only for names.
     for path in Path(touchalarm.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -58,4 +59,17 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
+            assert not {"dataclasses", "typing", "pathlib"} & {m.split(".")[0] for m in modules}, path.name
+
+
+def test_every_record_class_has_empty_slots():
+    # A namedtuple subclass without ``__slots__ = ()`` gives each instance a dict (hundreds of TraceEvents a storm job).
+    records = {cls.__name__: cls for module in (units, design, simulator, export) for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == module.__name__}
+    assert set(records) >= {
+        "Quantity", "ESeries", "CircuitSpec", "AstableTimes", "ModulationVoltages", "LedResistor",
+        "FilterCapacitor", "PivCheck", "BaseResistor", "AmplifierPower", "DesignRecord", "DesignReport",
+        "ErrataEntry", "ErrataReport", "ScenarioEvent", "Scenario", "SimConfig", "TraceEvent", "Trace",
+        "Timeline", "ToleranceResult"}
+    for name, cls in records.items():
+        assert not hasattr(tuple.__new__(cls, [None] * len(getattr(cls, "_fields", ()))), "__dict__"), name

@@ -767,7 +767,8 @@ class TestNoMaskedArrays:
 
 
 class TestNoGeneratedCode:
-    """The records are named tuples: no ``dataclasses``, which pulls in ``inspect``."""
+    """The records are ``collections.namedtuple`` subclasses: no ``dataclasses``, which pulls in ``inspect``,
+    and no ``typing``."""
 
     @calculator_runs
     def test_calculator_never_loads_dataclasses(self, args, code):
@@ -775,6 +776,15 @@ class TestNoGeneratedCode:
         assert exit_code == code
         assert "touchalarm" in names
         assert not names & {"dataclasses", "inspect"}
+
+    @calculator_runs
+    def test_calculator_never_loads_typing_or_pathlib(self, args, code):
+        """Run with ``-S``: a site step can load both before the program starts (an installed package's
+        ``.pth`` hook may import them), and that start-up cost is not the program's to cut."""
+        exit_code, names = _imported(["-S", *args])
+        assert exit_code == code
+        assert "touchalarm" in names
+        assert not names & {"typing", "pathlib"}
 
 
 def _assert_no_file_was_renamed(wav, job):

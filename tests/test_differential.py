@@ -5,7 +5,8 @@ up to six touch or outage pairs, a sample rate, the battery, the relay gap,
 the retrigger mode and now and then an ideal tone pair at the Nyquist
 bound.  ``timeline`` must refuse exactly the draws whose carrier or
 modulator is at or above half the sample rate; every other draw must
-render, in two pieces cut anywhere, to the oracle's channels bit for bit.
+render, in two pieces cut anywhere, to the oracle's channels bit for bit,
+and its ``Timeline.log()`` must place every change of those channels.
 The decades are placed so that the trigger window, the modulator cycle and
 the carrier period all fit in the few thousand samples that keep the
 per-sample oracle quick.  ``Timeline.render`` finds interval edges with
@@ -93,6 +94,53 @@ def test_render_matches_the_oracle(case):
         want = np.asarray(want, dtype=got.dtype)
         bits = np.uint64 if got.dtype == np.float64 else np.uint8
         assert np.array_equal(got.view(bits), want.view(bits)), name
+
+
+# What each ``Timeline.log()`` entry sets, by its first two words; a carrier_freq is an index into
+# (*carrier_pair, 0.0): the high tone, the low tone or silence.
+LOGGED = {
+    "trigger high": {"trigger_out": True},
+    "trigger low": {"trigger_out": False},
+    "supply off": {"supply_on": False},
+    "supply on": {"supply_on": True},
+    "siren on": {"sounding": True, "modulator_high": True, "carrier_freq": 0},
+    "siren off": {"sounding": False, "modulator_high": False, "carrier_freq": 2},
+    "modulator high": {"modulator_high": True, "carrier_freq": 0},
+    "modulator low": {"modulator_high": False, "carrier_freq": 1},
+}
+
+
+@given(cases())
+# A window that opens as an outage's (a, b] span ends, at b: the siren comes on after b, with the supply.
+@example((STOCK._replace(c2=4.7e-9),
+          Scenario((ScenarioEvent(0.0, "mains_fail"), ScenarioEvent(0.00125, "touch_start"),
+                    ScenarioEvent(0.00125, "mains_restore")), 0.25),
+          SimConfig(8000, 0.0, False), 0.0))
+@settings(max_examples=40, deadline=None)
+def test_event_log_places_every_change(case):
+    """Each oracle channel (the siren as sounding, carrier tone and modulator) changes exactly where the log
+    says: an entry sets its channels from the first sample at or after its time on, or after it for the
+    (a, b] supply spans and the siren edges that they cause (entries naming the supply), so every change
+    falls at the first sample of a logged edge and every logged edge has its change, unless a later edge
+    undoes it before the next sample."""
+    spec, scenario, config, _where = case
+    try:
+        whole = simulator.timeline(spec, scenario, config)
+    except SimulationError:  # test_render_matches_the_oracle checks that the refusal is the right one
+        return
+    n, tones = whole.n_samples, (*whole.carrier_pair, 0.0)
+    grid = np.arange(n, dtype=np.float64) / whole.sample_rate
+    logged = {"supply_on": np.ones(n, bool), "trigger_out": np.zeros(n, bool), "sounding": np.zeros(n, bool),
+              "modulator_high": np.zeros(n, bool), "carrier_freq": np.zeros(n)}
+    for time, what in whole.log():
+        k = np.searchsorted(grid, time, "right" if "supply" in what else "left")
+        for name, value in LOGGED.get(" ".join(what.split()[:2]), {}).items():
+            logged[name][k:] = tones[value] if name == "carrier_freq" else value
+    supply, trigger, modulator, carrier, speaker = oracle.expected_channels(spec, scenario, config)
+    expected = {"supply_on": supply, "trigger_out": trigger, "modulator_high": modulator,
+                "carrier_freq": carrier, "sounding": np.asarray(speaker) != 0.0}
+    for name, want in expected.items():
+        assert np.array_equal(logged[name], want), name
 
 
 @st.composite

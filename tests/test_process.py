@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from cli_env import cli_env
 from test_cli_fuzz import command
+from touchalarm import cli
 from touchalarm.cli import main
 
 REPORT_START = "quantity "
@@ -65,6 +66,40 @@ def test_a_symlink_target_is_followed(argv, name, tmp_path, capsys):
     else:
         assert out.startswith("alarm_windows=1 ") and real.read_text().startswith("t,supply_on,")
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["link", "s.scn", "sub", name])
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["design", "--out", "TARGET"], b"quantity "),
+    (["simulate", "--scenario", "SCN", "--wav", "TARGET"], b"RIFF"),
+], ids=["design", "simulate"])
+def test_a_stale_partial_symlink_redirects_nothing(argv, start, tmp_path, capsys):
+    victim = tmp_path / "victim.txt"
+    victim.write_text("victim\n")
+    (tmp_path / "r.out.partial").symlink_to("victim.txt")  # left by someone else where the temp file goes
+    (tmp_path / "s.scn").write_text("1.0 touch_start\n1.2 touch_end\nduration 2\n")
+    files = {"TARGET": str(tmp_path / "r.out"), "SCN": str(tmp_path / "s.scn")}
+    assert main([files.get(arg, arg) for arg in argv]) == 0
+    capsys.readouterr()
+    assert victim.read_text() == "victim\n"
+    target = tmp_path / "r.out"
+    assert target.is_file() and not target.is_symlink() and target.read_bytes().startswith(start)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.out", "s.scn", "victim.txt"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "reappearing"])
+def test_a_temp_name_that_cannot_be_created_new_is_an_output_error(kind, tmp_path, capsys, monkeypatch):
+    partial = tmp_path / "r.out.partial"
+    if kind == "directory":
+        partial.mkdir()
+        reason = "[Errno 21] Is a directory"
+    else:  # created again between its removal and the exclusive create
+        partial.write_bytes(b"stale")
+        monkeypatch.setattr(cli, "_remove", lambda path: None)
+        reason = "[Errno 17] File exists"
+    target = str(tmp_path / "r.out")
+    assert main(["design", "--out", target]) == 3
+    assert capsys.readouterr() == ("", f"output error: {reason}: {target!r}\n")
+    assert not (tmp_path / "r.out").exists()
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
