@@ -172,7 +172,9 @@ def _commit(text: str, paths=(), pieces=()) -> None:
             for i, tmp in enumerate(temps):
                 _remove(tmp)  # a stale entry; one that reappears fails the exclusive create
                 stack.callback(_remove, tmp)  # gone already after a successful rename
-                files.append(stack.enter_context(open(tmp, "xb")))  # O_EXCL: never through a symlink
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # O_EXCL: never through a symlink
+                stack.callback(os.close, fd)  # the file does not own fd: unregistered, it neither closes nor warns
+                files.append(stack.enter_context(open(fd, "wb", closefd=False)))
             for i, blocks in pieces:
                 files[i].writelines(blocks)
             for i, file in enumerate(files):
@@ -228,7 +230,6 @@ def cmd_simulate(args) -> int:
         ideal_pair=ideal_pair,
         retrigger="one_shot" if args.one_shot else "level_sensitive",
     )
-    config.validate()
     if args.wav is not None:
         export.check_wav_rate(config.sample_rate)
     timeline = simulator.timeline(spec, scenario, config)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .units import (E6, E12, CircuitFileError, DesignError, ExportError, Quantity, QuantityError,
+from .units import (E6, E12, Checked, CircuitFileError, DesignError, ExportError, Quantity, QuantityError,
                     format_quantity, lines, parse_quantity, quoted, snap_preferred)
 
 LN2 = math.log(2.0)
@@ -72,7 +72,7 @@ FIELDS = {
 FIELD_UNITS = {key: unit for key, (unit, _) in FIELDS.items()}
 
 
-class CircuitSpec(namedtuple("CircuitSpec", FIELDS, defaults=[stock for _, stock in FIELDS.values()])):
+class CircuitSpec(Checked, namedtuple("CircuitSpec", FIELDS, defaults=[s for _, s in FIELDS.values()])):
     """Component roster and electrical assumptions of the alarm circuit; defaults are stock."""
 
     __slots__ = ()
@@ -94,9 +94,10 @@ class CircuitSpec(namedtuple("CircuitSpec", FIELDS, defaults=[stock for _, stock
 
 
 def parse_circuit(text: str) -> CircuitSpec:
-    """Parse ``key = value`` circuit-file text into a validated CircuitSpec.
+    """Parse ``key = value`` circuit-file text into a CircuitSpec.
 
-    Unknown keys are errors; omitted keys keep the stock defaults.
+    Unknown keys are errors; omitted keys keep the stock defaults.  A spec that
+    breaks a rule of ``CircuitSpec.validate`` raises CircuitFileError with its text.
     """
     overrides: dict[str, float] = {}
     for lineno, raw in enumerate(lines(text), start=1):
@@ -115,12 +116,10 @@ def parse_circuit(text: str) -> CircuitSpec:
             overrides[key] = parse_quantity(value_text.strip(), FIELD_UNITS[key]).magnitude
         except QuantityError as exc:
             raise CircuitFileError(f"line {lineno}: {exc}") from exc
-    spec = CircuitSpec(**overrides)
     try:
-        spec.validate()
+        return CircuitSpec(**overrides)
     except DesignError as exc:
         raise CircuitFileError(str(exc)) from exc
-    return spec
 
 
 # --- individual design equations -----------------------------------------------
@@ -349,7 +348,6 @@ class DesignReport(_Named):
 
 def compute_report(spec: CircuitSpec) -> DesignReport:
     """Run every design equation against the spec and collect the results."""
-    spec.validate()
     records: list[DesignRecord] = []
 
     led1 = stage("r1_ideal", led_resistor, spec.transformer_secondary, spec.v_led, spec.i_led_max,

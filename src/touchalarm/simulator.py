@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from operator import ge, gt, itemgetter
 
 from . import design
-from .units import QUOTE_LIMIT, DesignError, ScenarioError, SimulationError, lines, quoted
+from .units import QUOTE_LIMIT, Checked, DesignError, ScenarioError, SimulationError, lines, quoted
 
 import numpy as np  # last, so design compiles before numpy loads: 1.7 MB less peak RSS from source
 
@@ -72,7 +72,7 @@ class ScenarioEvent(namedtuple("ScenarioEvent", "time kind")):
     __slots__ = ()
 
 
-class Scenario(namedtuple("Scenario", "events duration", defaults=[(), 30.0])):
+class Scenario(Checked, namedtuple("Scenario", "events duration", defaults=[(), 30.0])):
     """Time-ordered external events (a tuple of ``ScenarioEvent``) plus the simulated duration."""
 
     __slots__ = ()
@@ -134,9 +134,7 @@ def parse_scenario(text: str) -> Scenario:
         events.append(ScenarioEvent(time, kind))
     if duration is None:
         duration = events[-1].time + 30.0 if events else 30.0
-    scenario = Scenario(tuple(events), duration)
-    scenario.validate()
-    return scenario
+    return Scenario(tuple(events), duration)
 
 
 def _rate_text(x) -> str:  # an int as %g, else repr, cut as units.quoted cuts: a 400-digit rate prints short
@@ -144,8 +142,8 @@ def _rate_text(x) -> str:  # an int as %g, else repr, cut as units.quoted cuts: 
     return text if len(text) <= QUOTE_LIMIT else f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
-class SimConfig(namedtuple("SimConfig", "sample_rate switchover_delay battery_present ideal_pair retrigger",
-                           defaults=[16000, 0.010, True, None, "level_sensitive"])):
+class SimConfig(Checked, namedtuple("SimConfig", "sample_rate switchover_delay battery_present ideal_pair "
+                                    "retrigger", defaults=[16000, 0.010, True, None, "level_sensitive"])):
     """How to simulate: ``ideal_pair`` gives two fixed siren tones, or is None for the control-pin model."""
 
     __slots__ = ()
@@ -371,13 +369,10 @@ class Timeline(namedtuple("Timeline", "sample_rate n_samples duration alarm_wind
 
 def timeline(spec: design.CircuitSpec, scenario: Scenario,
              config: SimConfig | None = None) -> Timeline:
-    """Validate the inputs, check the budgets and build the scenario's timeline from the
-    circuit's figures in ``design.compute_report(spec)``, raising whatever that raises."""
+    """Check the budgets and build the scenario's timeline from the circuit's figures in
+    ``design.compute_report(spec)``, raising whatever that raises; each record checked itself when built."""
     if config is None:
         config = SimConfig()
-    spec.validate()
-    scenario.validate()
-    config.validate()
 
     report = design.compute_report(spec)
     timeout = report.value("trigger_timeout")
@@ -571,8 +566,7 @@ def _default_rng_doubles(seed: int, indices: np.ndarray) -> list[np.ndarray]:
 def timeout_samples(spec: design.CircuitSpec, rel_tolerance: float, seed: int, i0: int, i1: int,
                     block: int = _BLOCK) -> np.ndarray:
     """Runs ``i0 <= i < i1 <= MAX_RUNS`` of ``monte_carlo_timeout(spec, rel_tolerance, runs, seed)``,
-    drawn ``block`` runs at a time."""
-    spec.validate()
+    drawn ``block`` runs at a time; ``spec`` checked its own rules when it was built."""
     if not (isinstance(rel_tolerance, (int, float)) and 0.0 < rel_tolerance < 1.0):
         raise SimulationError(f"rel_tolerance must be in (0, 1), got {rel_tolerance!r}")
     if not (all(isinstance(x, int) for x in (i0, i1, block)) and 0 <= i0 <= i1 <= MAX_RUNS and block > 0):
@@ -610,7 +604,7 @@ def monte_carlo_timeout(
     bit-identical to a per-run generator loop and independent of execution
     order.  The generators are not built: numpy's SeedSequence mixing and
     PCG64 seeding and stepping are computed in uint32/uint64 array
-    arithmetic by ``timeout_samples``, which also checks ``spec`` and ``rel_tolerance``.
+    arithmetic by ``timeout_samples``, which also checks ``rel_tolerance``.
     Mean and stddev replay numpy's pairwise summation bit for bit.  Raises
     ``design.DesignError`` when a sample or statistic is not finite.
     """

@@ -90,21 +90,31 @@ class ExportError(ValueError):
     """Export parameters do not fit the data being written."""
 
 
-class Quantity(namedtuple("Quantity", "magnitude unit")):
+class Checked(tuple):
+    """Base of a record that runs ``validate()`` whenever one is built; it goes before the namedtuple base."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.validate()
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace builds through it
+
+
+class Quantity(Checked, namedtuple("Quantity", "magnitude unit")):
     """A finite scalar tagged with one of the supported units."""
 
     __slots__ = ()
 
-    def __new__(cls, magnitude: float, unit: str) -> Quantity:
-        if unit not in UNITS:
-            raise QuantityError(f"unknown unit tag {unit!r}")
-        if not isinstance(magnitude, (int, float)) or not math.isfinite(magnitude):
-            raise QuantityError(f"magnitude must be finite, got {magnitude!r}")
-        if unit in _NONNEGATIVE_UNITS and magnitude < 0:
-            raise QuantityError(f"{unit} magnitude must be >= 0, got {magnitude!r}")
-        return super().__new__(cls, magnitude, unit)
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace builds through it
+    def validate(self) -> None:
+        if self.unit not in UNITS:
+            raise QuantityError(f"unknown unit tag {self.unit!r}")
+        if not isinstance(self.magnitude, (int, float)) or not math.isfinite(self.magnitude):
+            raise QuantityError(f"magnitude must be finite, got {self.magnitude!r}")
+        if self.unit in _NONNEGATIVE_UNITS and self.magnitude < 0:
+            raise QuantityError(f"{self.unit} magnitude must be >= 0, got {self.magnitude!r}")
 
     def __str__(self) -> str:
         return format_quantity(self)
@@ -205,23 +215,19 @@ def _shortest_digits(mantissa: float, factor: float, target: float) -> str:
 # --- IEC 60063 preferred value series -----------------------------------------
 
 
-class ESeries(namedtuple("ESeries", "name mantissas")):
+class ESeries(Checked, namedtuple("ESeries", "name mantissas")):
     """One decade of preferred values, e.g. E12 = 1.0, 1.2, ... 8.2."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, mantissas: tuple[float, ...]) -> ESeries:
-        n = int(name[1:])
-        if len(mantissas) != n:
-            raise QuantityError(f"{name} must list {n} mantissas")
-        for lo, hi in zip(mantissas, mantissas[1:]):
-            if not lo < hi:
-                raise QuantityError(f"{name} mantissas must be strictly increasing")
-        if mantissas[0] < 1.0 or mantissas[-1] >= 10.0:
-            raise QuantityError(f"{name} mantissas must lie in [1.0, 10.0)")
-        return super().__new__(cls, name, mantissas)
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace builds through it
+    def validate(self) -> None:
+        n = int(self.name[1:])
+        if len(self.mantissas) != n:
+            raise QuantityError(f"{self.name} must list {n} mantissas")
+        if not all(lo < hi for lo, hi in zip(self.mantissas, self.mantissas[1:])):
+            raise QuantityError(f"{self.name} mantissas must be strictly increasing")
+        if self.mantissas[0] < 1.0 or self.mantissas[-1] >= 10.0:
+            raise QuantityError(f"{self.name} mantissas must lie in [1.0, 10.0)")
 
 
 E24 = ESeries("E24", (

@@ -73,3 +73,36 @@ def test_every_record_class_has_empty_slots():
         "Timeline", "ToleranceResult"}
     for name, cls in records.items():
         assert not hasattr(tuple.__new__(cls, [None] * len(getattr(cls, "_fields", ()))), "__dict__"), name
+
+
+def test_only_the_checked_base_calls_validate():
+    # A record checks its own rules whenever it is built (units.Checked), so no caller checks one again.
+    calls = []
+    for path in Path(touchalarm.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            calls += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "validate"]
+    assert calls == [("units.py", "Checked")]
+
+
+# (a valid record, a change that breaks one of its rules, the error and its whole text)
+CHECKED = [
+    (units.Quantity(1.0, "ohm"), {"magnitude": -1.0}, units.QuantityError, "ohm magnitude must be >= 0, got -1.0"),
+    (units.E6, {"mantissas": units.E6.mantissas[::-1]}, units.QuantityError,
+     "E6 mantissas must be strictly increasing"),
+    (design.CircuitSpec(), {"r3": 0.0}, units.DesignError, "r3: must be > 0, got 0.0"),
+    (simulator.Scenario(), {"duration": -1.0}, units.ScenarioError, "duration must be finite and >= 0, got -1.0"),
+    (simulator.SimConfig(), {"retrigger": "sometimes"}, units.SimulationError,
+     "retrigger must be one of ('level_sensitive', 'one_shot'), got 'sometimes'"),
+]
+
+
+@pytest.mark.parametrize("record, change, error, text", CHECKED, ids=[type(case[0]).__name__ for case in CHECKED])
+def test_a_checked_record_refuses_a_broken_rule_however_it_is_built(record, change, error, text):
+    cls, fields = type(record), {**record._asdict(), **change}
+    assert not {"__new__", "_make"} & set(vars(cls)), "built and remade only through units.Checked"
+    for build in (lambda: cls(**fields), lambda: record._replace(**change), lambda: cls._make(fields.values())):
+        with pytest.raises(error) as refused:
+            build()
+        assert str(refused.value) == text

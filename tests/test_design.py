@@ -571,11 +571,11 @@ class TestCircuitSpecValidation:
             CircuitSpec(r3=math.inf).validate()
 
     def test_nonfinite_named_in_declaration_order(self):
-        spec = CircuitSpec(speaker_impedance=math.nan, r3=math.inf, fuse_rating=-math.inf)
+        fields = {"speaker_impedance": math.nan, "r3": math.inf, "fuse_rating": -math.inf}
         with pytest.raises(DesignError, match=r"^fuse_rating: must be a finite number, got -inf$"):
-            spec.validate()
+            CircuitSpec(**fields)
         with pytest.raises(DesignError, match=r"^r3: must be a finite number, got inf$"):
-            spec._replace(fuse_rating=1.0).validate()
+            CircuitSpec()._replace(**{**fields, "fuse_rating": 1.0})
 
     def test_every_field_has_a_unit(self):
         assert tuple(FIELD_UNITS) == CircuitSpec._fields
@@ -600,9 +600,8 @@ class TestCircuitSpecValidation:
                 assert not re.search(r": must be >=? 0,", str(exc)), exc
 
     def test_positive_fields_are_named_before_voltages(self):
-        spec = CircuitSpec(mains_voltage=-1.0, speaker_power_rating=0.0)
         with pytest.raises(DesignError, match=r"^speaker_power_rating: must be > 0, got 0\.0$"):
-            spec.validate()
+            CircuitSpec(mains_voltage=-1.0, speaker_power_rating=0.0)
 
 
 # (equation, arguments, the whole rejection text).  Where two arguments are out

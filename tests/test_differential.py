@@ -11,20 +11,23 @@ The decades are placed so that the trigger window, the modulator cycle and
 the carrier period all fit in the few thousand samples that keep the
 per-sample oracle quick.  ``Timeline.render`` finds interval edges with
 ``simulator._sample_index``, checked here against ``np.searchsorted`` on
-the grid.
+the grid.  A few draws also go through ``cli.main`` as circuit and scenario
+files, and its CSV and WAV must be the bytes of the oracle's channels.
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import timeline_oracle as oracle
 from test_cli_fuzz import TIMING_KEYS
-from touchalarm import design, simulator
+from test_export import parse_wav, reference_csv
+from touchalarm import cli, design, simulator
 from touchalarm.design import CircuitSpec
-from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, SimulationError
+from touchalarm.export import WAV_FULL_SCALE
+from touchalarm.simulator import Scenario, ScenarioEvent, SimConfig, SimulationError, Trace
 
 STOCK = CircuitSpec()
 # Log10 of each drawn part's range as a factor of its stock value, two decades wide:
@@ -141,6 +144,56 @@ def test_event_log_places_every_change(case):
                 "carrier_freq": carrier, "sounding": np.asarray(speaker) != 0.0}
     for name, want in expected.items():
         assert np.array_equal(logged[name], want), name
+
+
+def oracle_trace(spec, scenario, config):
+    """The oracle's channels as a ``Trace``: its sign, amplitude and tones read back from its speaker and carrier."""
+    supply, trigger, modulator, carrier, speaker = map(np.asarray, oracle.expected_channels(spec, scenario, config))
+    sounding = speaker != 0.0
+    trace = Trace(config.sample_rate, supply, trigger, modulator, np.sign(speaker).astype(np.int8),
+                  float(np.abs(speaker).max(initial=0.0)),
+                  tuple(float(carrier[sounding & (modulator == high)].max(initial=0.0)) for high in (True, False)))
+    assert trace.speaker.tobytes() == speaker.tobytes() and trace.carrier_freq.tobytes() == carrier.tobytes()
+    return trace
+
+
+# A held touch through a mains outage, with the modulator cycling every 15 ms: both tones and a relay gap.
+HELD = (STOCK._replace(c2=4.7e-9, c6=4.7e-7),
+        Scenario((ScenarioEvent(0.01, "touch_start"), ScenarioEvent(0.05, "mains_fail"),
+                  ScenarioEvent(0.12, "touch_end"), ScenarioEvent(0.2, "mains_restore")), 0.25))
+
+
+@given(case=cases())
+@example(case=(*HELD, SimConfig(8000), 0.0))
+@example(case=(*HELD, SimConfig(8000, ideal_pair=(470.0, 490.0)), 0.0))
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_writes_the_oracle_bytes(case, tmp_path, capsys):
+    """``touchalarm simulate --csv --wav`` on the draw's circuit and scenario files (with the command line's relay
+    gap and battery): the CSV is ``reference_csv`` of the oracle's trace and the WAV its speaker as plain PCM."""
+    spec, scenario, config, _where = case
+    config = config._replace(switchover_delay=SimConfig().switchover_delay, battery_present=True)
+    (tmp_path / "c.circ").write_text("".join(f"{key} = {value!r}\n" for key, value in spec._asdict().items()))
+    (tmp_path / "s.scn").write_text("".join(f"{event.time!r} {event.kind}\n" for event in scenario.events)
+                                    + f"duration {scenario.duration!r}\n")
+    argv = ["simulate", "--circuit", str(tmp_path / "c.circ"), "--scenario", str(tmp_path / "s.scn"),
+            "--sample-rate", str(config.sample_rate), "--csv", str(tmp_path / "x.csv"),
+            "--wav", str(tmp_path / "x.wav")]
+    argv += ["--one-shot"] * (config.retrigger == "one_shot")
+    argv += ["--ideal-pair", ",".join(map(repr, config.ideal_pair))] if config.ideal_pair else []
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    try:  # test_render_matches_the_oracle checks that a refusal is the right one
+        simulator.timeline(spec, scenario, config)
+    except SimulationError as refused:
+        assert (code, out, err) == (2, "", f"usage error: {refused}\n")
+        return
+    assert (code, err) == (0, "")
+    trace = oracle_trace(spec, scenario, config)
+    assert (tmp_path / "x.csv").read_bytes() == reference_csv(trace)
+    wav = parse_wav((tmp_path / "x.wav").read_bytes())
+    peak = trace.amplitude or 1.0  # a silent run is all zeros whatever the scale
+    pcm = np.clip(np.rint(WAV_FULL_SCALE * trace.speaker / peak), -32768, 32767).astype("<i2")
+    assert (wav["rate"], wav["samples"].tobytes()) == (config.sample_rate, pcm.tobytes())
 
 
 @st.composite

@@ -6,6 +6,8 @@ may run as root, and a program at fault would then replace a device node
 (``/dev/full`` only ever stands in for a stdout or stderr).
 """
 
+import contextlib
+import gc
 import os
 import resource
 import signal
@@ -13,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,9 +111,11 @@ def test_a_signal_ends_the_job_with_one_line_and_no_partial_file(signum, tmp_pat
     (tmp_path / "held.scn").write_text("1.0 touch_start\nduration 1390\n")
     (tmp_path / "x.wav").write_bytes(b"old")
     partial = tmp_path / "x.wav.partial"
+    # SIGINT at its default in the child: a suite run as a background job inherits it ignored, and Python keeps that.
     proc = subprocess.Popen([sys.executable, "-m", "touchalarm", "simulate", "--scenario", "held.scn",
                              "--sample-rate", "48000", "--wav", "x.wav"],
-                            cwd=tmp_path, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            cwd=tmp_path, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         deadline = time.monotonic() + 30
         while not partial.exists() and proc.poll() is None and time.monotonic() < deadline:
@@ -124,6 +129,22 @@ def test_a_signal_ends_the_job_with_one_line_and_no_partial_file(signum, tmp_pat
     assert (proc.returncode, out, err) == (128 + signum, "", "interrupted\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["held.scn", "x.wav"]
     assert (tmp_path / "x.wav").read_bytes() == b"old"
+
+
+def test_an_interrupt_before_a_temp_file_is_registered_leaves_nothing(tmp_path, monkeypatch):
+    # The signal test's race, made certain: Ctrl-C lands after the temp file is created, before the stack holds it.
+    class Interrupted(contextlib.ExitStack):
+        def enter_context(self, cm):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(contextlib, "ExitStack", Interrupted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(KeyboardInterrupt):
+            cli._commit("", [str(tmp_path / "r.out")], [(0, [b"report"])])
+        gc.collect()  # finalizes whatever file object the interrupt left behind
+    assert [str(w.message) for w in caught if "r.out.partial" in str(w.message)] == []
+    assert list(tmp_path.iterdir()) == []
 
 
 BAD_STDOUT = ["stdout-closed", "stdout-full", "stdout-broken-pipe"]

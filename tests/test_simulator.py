@@ -121,9 +121,8 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("events", [["earthquake"], ["touch_start", "touch_stop"],
                                         ["mains_fail", None]])
     def test_library_scenario_refuses_unknown_kind(self, events):
-        scenario = Scenario(tuple(ScenarioEvent(1.0, kind) for kind in events), 5.0)
         with pytest.raises(ScenarioError, match=rf"^{events[-1]} at 1.0 breaks alternation"):
-            scenario.validate()
+            Scenario(tuple(ScenarioEvent(1.0, kind) for kind in events), 5.0)
 
     def test_each_kind_alternates_with_its_partner(self):
         # EVENT_KINDS lists each kind beside its partner: start/end, fail/restore
@@ -601,9 +600,8 @@ class TestRunValidation:
         }
 
     def test_bad_scenario(self):
-        bad = Scenario((ScenarioEvent(5.0, "touch_start"),), 1.0)
         with pytest.raises(ScenarioError):
-            run(SPEC, bad, SimConfig())
+            run(SPEC, Scenario((ScenarioEvent(5.0, "touch_start"),), 1.0), SimConfig())
 
     def test_bad_config(self):
         with pytest.raises(SimulationError):
