@@ -47,8 +47,7 @@ _BLOCK = 2**13  # rows per buffer that csv_rows yields, which bounds its memory
 
 def _records(buf: np.ndarray, width: int, offset: int = 0, stride: int = 1) -> np.ndarray:
     """The ``width``-byte items of ``buf``'s bytes that start at ``offset + k * stride``."""
-    count = max(0, (buf.nbytes - offset - width) // stride + 1)  # a block may be shorter than a form
-    return np.ndarray(count, f"V{width}", buf, offset, (stride,))
+    return np.ndarray((buf.nbytes - offset - width) // stride + 1, f"V{width}", buf, offset, (stride,))
 
 
 def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
@@ -63,14 +62,12 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
     formatted with ``.9f``.  The rest of a row, its form, depends only on the
     booleans and the sign (carrier and speaker derive from them, as in
     ``Trace``), so each of the 24 forms is formatted once per chunk.  Each row
-    gets two record writes: its form, padded on the left to the longest form of
-    its band of lengths and right-aligned at the row's end, then its time cell.
-    Bands are narrow enough that the padding falls inside the row's own time
-    cell, so no write reaches another row and the order in which numpy scatters
-    does not matter.  Each row depends on its own sample alone, so the blocks,
-    and the rows of consecutive chunks, concatenate to the rows of the whole
-    trace.  A ``sample_rate`` that is not a positive integer that converts to a
-    float raises ExportError.
+    gets two record writes at their exact widths, its time cell at its start
+    and its form at its end, so every write lies inside its own row.  Each row
+    depends on its own sample alone, so the blocks, and the rows of
+    consecutive chunks, concatenate to the rows of the whole trace.  A
+    ``sample_rate`` that is not a positive integer that converts to a float
+    raises ExportError.
     """
     if not isinstance(chunk.sample_rate, int) or not 0 < chunk.sample_rate <= sys.float_info.max:
         raise ExportError(f"sample_rate must be a positive integer, got {_rate_text(chunk.sample_rate)}")
@@ -82,7 +79,6 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
         | np.asarray(chunk.modulator_high, bool).view(np.uint8)
     # the sign read as uint8: -1 is 255, which + 1 wraps to 0
     row_form = flags * np.uint8(3) + np.asarray(chunk.sign, np.int8).view(np.uint8) + np.uint8(1)
-    present = np.bincount(row_form, minlength=24) > 0
     # form k is the row of flags k // 3 and sign k % 3 - 1, whose carrier and speaker Trace derives
     flag, sign = np.divmod(np.arange(24), 3)
     every = chunk._replace(supply_on=flag >> 2 == 1, trigger_out=flag >> 1 & 1 == 1,
@@ -90,15 +86,6 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
     forms = [f",{g >> 2},{g >> 1 & 1},{g & 1},{c!r},{v!r}\n".encode()
              for g, c, v in zip(flag.tolist(), every.carrier_freq.tolist(), every.speaker.tolist())]
     form_len = np.array([len(form) for form in forms])
-    spill, tops = 3, []  # the narrowest time cell ("nan"); the longest form of each band
-    for length in sorted(set(form_len[present].tolist())):
-        if not tops or length > low + spill:
-            low = length
-            tops.append(length)
-        tops[-1] = length
-    tables = [np.frombuffer(b"".join(form.rjust(top)[-top:] for form in forms), f"V{top}")
-              for top in tops]
-    form_band = np.searchsorted(tops, form_len)
     # Digit groups as little-endian ASCII: two[i] is f"{i:02d}", four[i] f"{i:04d}", high[i]
     # the same four bytes after four others and dot[i] f".{i:03d}" (ord("0") - 2 is ord(".")).
     k = np.arange(100, dtype=np.uint64)
@@ -131,9 +118,8 @@ def csv_rows(chunk: Trace) -> Iterator[np.ndarray]:
         start, end = bounds[:-1], bounds[1:]
         np.cumsum(form_len.take(their) + lead + 10, out=end)
         buf = np.empty(int(end[-1]), np.uint8)
-        for b, (top, table) in enumerate(zip(tops, tables)):
-            rows = np.flatnonzero(form_band.take(their) == b) if len(tops) > 1 else slice(None)
-            _records(buf, top)[end[rows] - top] = table.take(their[rows])
+        for k in np.flatnonzero(np.bincount(their, minlength=24)).tolist():
+            _records(buf, len(forms[k]))[end[their == k] - len(forms[k])] = np.void(forms[k])
         point = 8 * max(1, -(-int(lead.max()) // 8))  # row k's cell: bytes point - lead[k]:point + 10
         words = np.empty((m, point // 8 + 2), np.uint64)
         q, f6, f2 = seconds // 10**4, fraction // 10**6, fraction // 100  # x % d is slow: x - x // d * d

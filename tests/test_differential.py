@@ -74,6 +74,9 @@ def cases(draw):
 
 
 @given(cases())
+# low_t1 is exactly 1.0 s, so sample 16000 lies on the modulator's first high-to-low edge, and is low.
+@example((STOCK._replace(c6=6.272587134299841e-05),
+          Scenario((ScenarioEvent(0.0, "touch_start"),), 1.5), SimConfig(16000), 0.0))
 @settings(max_examples=40, deadline=None)
 def test_render_matches_the_oracle(case):
     spec, scenario, config, where = case

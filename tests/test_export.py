@@ -192,8 +192,11 @@ class TestCsvMatchesReference:
         trace = table_trace(100_000, sample_rate, seed=sample_rate)._replace(start=5000 * sample_rate)
         assert write_csv(trace) == reference_csv(trace)
 
-    def test_many_distinct_values(self):
-        # every one of the 24 forms in one chunk, for tones and amplitudes of many repr lengths
+    @pytest.mark.parametrize("block", [export._BLOCK, 1, 7, 64])
+    def test_many_distinct_values(self, monkeypatch, block):
+        # every one of the 24 forms in one chunk, for tones and amplitudes of many repr lengths;
+        # small blocks hold some forms and not others, and one-row blocks hold a single form
+        monkeypatch.setattr(export, "_BLOCK", block)
         for i, amplitude in enumerate(SPECIAL):
             for pair in [(0.1 + 0.2, 5e-324), (1e300, -0.0), (SPECIAL[i - 3], 1 / 3)]:
                 trace = table_trace(5000, 7, amplitude, pair, seed=i)
@@ -291,7 +294,7 @@ class TestCsvRowsOfChunks:
         self.assert_matches_reference(chunk, 8192)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_form_band_changes_at_a_block_edge(self, monkeypatch, block):
+    def test_form_length_changes_at_a_block_edge(self, monkeypatch, block):
         monkeypatch.setattr(export, "_BLOCK", block)
         line = timeline(SPEC, Scenario((ScenarioEvent(0.5, "touch_start"),), 1.0), SimConfig())
         onset = 8000  # the first sounding row, at the touch
